@@ -161,9 +161,7 @@ let ablations () =
   arow "carry-out" "carry out (default)" (measure ~forest base q);
   arow "carry-out" "naive (self-joins)"
     (measure ~forest
-       { base with
-         Config.rewrite = Rewrite.naive;
-         planner = { base.Config.planner with Planner.carry_out = false } }
+       { base with Config.planner = { base.Config.planner with Planner.carry_out = false } }
        q);
 
   Printf.printf "3. index structures and cost-based reordering (milestone 4):\n";
@@ -257,10 +255,10 @@ let templates () =
 (* The index-vs-scan ablation: every test runs under m4 and under
    m4-nostruct (same engine, structural index family forced off).  On
    the deep Treebank tests the staircase/twig plans must do strictly
-   less page I/O — CI gates on that via check-bench
-   --require-structural-gain, which compares m4 against m4-nostruct for
-   every test named "deep-*".  The shallow DBLP row documents where the
-   family deliberately does not fire. *)
+   less page I/O — check-bench gates every "structural" report on that,
+   comparing m4 against m4-nostruct for every test named "deep-*".  The
+   shallow DBLP row documents where the family deliberately does not
+   fire. *)
 let structural () =
   header "Structural & path indexes: staircase/twig plans vs per-outer probes";
   let tb_scale = if !quick then 25 else 60 in

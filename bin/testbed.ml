@@ -305,9 +305,10 @@ let chaos_cmd =
     (Cmd.info "chaos"
        ~doc:
          "Chaos harness: replay the same seeded traffic schedules (well-formed \
-          v2 and v1 requests, already-expired deadlines, hostile frames) \
-          fault-free and again under seeded disk-fault injection, then hammer \
-          the WAL of a scratch file database with injected append/sync faults. \
+          requests, stale-version frames, already-expired deadlines, hostile \
+          frames) fault-free and again under seeded disk-fault injection, then \
+          hammer the WAL of a scratch file database with injected append/sync \
+          faults. \
           Checks that no failure escapes untyped, no Ok payload diverges from \
           the fault-free oracle, transient faults stay invisible to clients, \
           hard faults surface as typed I/O errors, the storage retry actually \
@@ -346,62 +347,15 @@ let explain_cmd =
 let bench_files =
   Arg.(non_empty & pos_all string [] & info [] ~docv:"FILE" ~doc:"Report file to validate.")
 
-let require_constant_templates =
-  Arg.(
-    value & flag
-    & info ["require-constant-templates"]
-        ~doc:
-          "Additionally require that every (engine, test) pair shows the same \
-           templates_built across all its results — the compile-once invariant \
-           under data scaling.")
-
-let require_structural_gain =
-  Arg.(
-    value & flag
-    & info ["require-structural-gain"]
-        ~doc:
-          "Additionally require that every deep-* test shows m4 doing strictly \
-           less page I/O than m4-nostruct — the structural-index payoff over a \
-           BENCH_structural.json report.")
-
-let require_batch_gain =
-  Arg.(
-    value & flag
-    & info ["require-batch-gain"]
-        ~doc:
-          "Additionally require that the report's batch-vs-tuple comparison \
-           shows the vectorized run strictly faster than the same engines at \
-           batch size 1, with unchanged engine rankings — the vectorization \
-           payoff over a BENCH_fig7.json report.")
-
-let check_bench_action constant_templates structural_gain batch_gain files =
+let check_bench_action files =
   let failed = ref false in
   List.iter
     (fun file ->
-      (match T.Report.validate_file file with
+      match T.Report.validate_file file with
       | Ok () -> Printf.printf "%s: ok\n" file
       | Error msg ->
         Printf.printf "%s: INVALID: %s\n" file msg;
-        failed := true);
-      let extra validate label =
-        if not !failed then
-          match T.Report.parse_file file with
-          | Error msg ->
-            Printf.printf "%s: INVALID: %s\n" file msg;
-            failed := true
-          | Ok json ->
-            (match validate json with
-            | Ok () -> Printf.printf "%s: %s\n" file label
-            | Error msg ->
-              Printf.printf "%s: INVALID: %s\n" file msg;
-              failed := true)
-      in
-      if constant_templates then
-        extra T.Report.validate_constant_templates "templates constant";
-      if structural_gain then
-        extra T.Report.validate_structural_gain "structural gain on deep tests";
-      if batch_gain then
-        extra T.Report.validate_batch_gain "batched execution faster, rankings unchanged")
+        failed := true)
     files;
   if !failed then exit 1
 
@@ -410,11 +364,12 @@ let check_bench_cmd =
     (Cmd.info "check-bench"
        ~doc:
          "Validate machine-readable benchmark reports: schema envelope, result \
-          quintets, and profile reconciliation (reads + writes = operator_ios + \
-          other_ios, operator trees internally consistent).")
-    Term.(
-      const check_bench_action $ require_constant_templates $ require_structural_gain
-      $ require_batch_gain $ bench_files)
+          quintets, profile reconciliation (reads + writes = operator_ios + \
+          other_ios, operator trees internally consistent), and the gate of \
+          the report's kind: constant templates_built for templates, a \
+          deep-test page-I/O gain for structural, a batch-execution gain for \
+          fig7 reports that carry a batch comparison.")
+    Term.(const check_bench_action $ bench_files)
 
 (* --- lint: the storage-safety static analyzer, testbed form ------------- *)
 
@@ -466,13 +421,10 @@ let check_lint_action files =
   let failed = ref false in
   List.iter
     (fun file ->
-      let text =
-        let ic = open_in_bin file in
-        let s = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        s
-      in
-      match Xqdb_lint.Driver.validate_json text with
+      match
+        Result.bind (T.Report.parse_file file)
+          (T.Report.validate_lint ~schema_version:Xqdb_lint.Driver.schema_version)
+      with
       | Ok () -> Printf.printf "%s: ok\n" file
       | Error msg ->
         Printf.printf "%s: INVALID: %s\n" file msg;
@@ -485,7 +437,7 @@ let check_lint_cmd =
     (Cmd.info "check-lint"
        ~doc:
          "Validate machine-readable lint reports the way $(b,check-bench) \
-          validates benchmark reports: well-formed JSON, accepted \
+          validates benchmark reports: well-formed JSON, the current \
           schema_version, tool stamp, count matching the findings array, and \
           complete rule/file/line/col/message on every finding.")
     Term.(const check_lint_action $ lint_report_files)

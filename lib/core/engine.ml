@@ -139,8 +139,7 @@ let prepared_cache_invalidations = Storage.Metrics.counter "engine.prepared_cach
 
 let pipeline_ctx t =
   { Pipeline.config =
-      { Pipeline.rewrite = t.config.Engine_config.rewrite;
-        merge_relfors = t.config.Engine_config.merge_relfors;
+      { Pipeline.merge_relfors = t.config.Engine_config.merge_relfors;
         planner = t.config.Engine_config.planner;
         batch_size = t.config.Engine_config.batch_size;
         scan_domains = t.config.Engine_config.scan_domains };

@@ -1,4 +1,3 @@
-module Rewrite = Xqdb_tpm.Rewrite
 module Planner = Xqdb_optimizer.Planner
 module Stats = Xqdb_optimizer.Stats
 
@@ -12,7 +11,6 @@ type t = {
   name : string;
   milestone : milestone;
   merge_relfors : bool;
-  rewrite : Rewrite.config;
   planner : Planner.config;
   quality : Stats.quality;
   pool_capacity : int;
@@ -58,7 +56,6 @@ let m1 =
   { name = "m1";
     milestone = M1;
     merge_relfors = false;
-    rewrite = Rewrite.default;
     planner = Planner.m3_config;
     quality = Stats.Good;
     pool_capacity = default_pool;

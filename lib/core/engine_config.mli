@@ -17,7 +17,6 @@ type t = {
   name : string;
   milestone : milestone;
   merge_relfors : bool;  (** milestone-3 relfor merging *)
-  rewrite : Xqdb_tpm.Rewrite.config;
   planner : Xqdb_optimizer.Planner.config;
   quality : Xqdb_optimizer.Stats.quality;
   pool_capacity : int;  (** buffer-pool frames: the "20 MB" knob *)

@@ -61,11 +61,9 @@ let render_text findings =
     | fs -> Printf.sprintf "xqdb-lint: %d finding(s)\n" (List.length fs));
   Buffer.contents b
 
-(* v2: the domain-safety rules (L7-L9) joined the registry.  The object
-   shape is unchanged, so v1 reports stay readable. *)
+(* Bumped on every report change; the validator (`testbed check-lint`)
+   accepts only the current version. *)
 let schema_version = 2
-
-let accepted_schema_versions = [ 1; 2 ]
 
 let render_json findings =
   let b = Buffer.create 512 in
@@ -83,228 +81,3 @@ let render_json findings =
   if findings <> [] then Buffer.add_string b "\n  ";
   Buffer.add_string b "]\n}\n";
   Buffer.contents b
-
-(* --- report validation (check-lint) ----------------------------------------- *)
-
-(* A minimal strict JSON reader, just enough to validate our own
-   artifact without pulling a dependency into lib/lint (which otherwise
-   needs only compiler-libs).  Mirrors `testbed check-bench`: parse,
-   check the schema version, check the shape. *)
-
-type json =
-  | J_null
-  | J_bool of bool
-  | J_num of float
-  | J_str of string
-  | J_list of json list
-  | J_obj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json text =
-  let n = String.length text in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some text.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let literal word value =
-    let l = String.length word in
-    if !pos + l <= n && String.sub text !pos l = word then begin
-      pos := !pos + l;
-      value
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-        advance ();
-        match peek () with
-        | Some (('"' | '\\' | '/') as c) ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-        | Some 'n' -> Buffer.add_char b '\n'; advance (); go ()
-        | Some 't' -> Buffer.add_char b '\t'; advance (); go ()
-        | Some 'r' -> Buffer.add_char b '\r'; advance (); go ()
-        | Some 'b' -> Buffer.add_char b '\b'; advance (); go ()
-        | Some 'f' -> Buffer.add_char b '\012'; advance (); go ()
-        | Some 'u' ->
-          advance ();
-          if !pos + 4 > n then fail "truncated \\u escape";
-          (match int_of_string_opt ("0x" ^ String.sub text !pos 4) with
-          | None -> fail "bad \\u escape"
-          | Some code ->
-            (* Raw code point; enough for validation purposes. *)
-            if code < 0x80 then Buffer.add_char b (Char.chr code)
-            else Buffer.add_string b (Printf.sprintf "\\u%04x" code));
-          pos := !pos + 4;
-          go ()
-        | _ -> fail "bad escape")
-      | Some c ->
-        Buffer.add_char b c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char c =
-      (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while (match peek () with Some c when num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub text start (!pos - start)) with
-    | Some f -> J_num f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> J_str (parse_string ())
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        J_obj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((key, v) :: acc)
-          | Some '}' ->
-            advance ();
-            J_obj (List.rev ((key, v) :: acc))
-          | _ -> fail "expected , or }"
-        in
-        members []
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        J_list []
-      end
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            J_list (List.rev (v :: acc))
-          | _ -> fail "expected , or ]"
-        in
-        elements []
-      end
-    | Some 't' -> literal "true" (J_bool true)
-    | Some 'f' -> literal "false" (J_bool false)
-    | Some 'n' -> literal "null" J_null
-    | Some _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let field obj key =
-  match obj with
-  | J_obj members -> List.assoc_opt key members
-  | _ -> None
-
-let validate_json text =
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  match parse_json text with
-  | exception Bad_json msg -> Error (Printf.sprintf "invalid JSON: %s" msg)
-  | root ->
-    let* version =
-      match field root "schema_version" with
-      | Some (J_num v) when Float.is_integer v -> Ok (int_of_float v)
-      | Some _ -> Error "schema_version must be an integer"
-      | None -> Error "missing schema_version"
-    in
-    let* () =
-      if List.mem version accepted_schema_versions then Ok ()
-      else
-        Error
-          (Printf.sprintf "unsupported schema_version %d (accepted: %s)" version
-             (String.concat ", " (List.map string_of_int accepted_schema_versions)))
-    in
-    let* () =
-      match field root "tool" with
-      | Some (J_str "xqdb-lint") -> Ok ()
-      | Some (J_str other) -> Error (Printf.sprintf "tool is %S, want \"xqdb-lint\"" other)
-      | _ -> Error "missing tool"
-    in
-    let* fs =
-      match field root "findings" with
-      | Some (J_list fs) -> Ok fs
-      | _ -> Error "missing findings array"
-    in
-    let* () =
-      match field root "count" with
-      | Some (J_num c) when int_of_float c = List.length fs -> Ok ()
-      | Some (J_num c) ->
-        Error
-          (Printf.sprintf "count %d does not match %d finding(s)" (int_of_float c)
-             (List.length fs))
-      | _ -> Error "missing count"
-    in
-    let check_finding i f =
-      let str k =
-        match field f k with
-        | Some (J_str _) -> Ok ()
-        | _ -> Error (Printf.sprintf "finding %d: missing string %S" i k)
-      in
-      let num k =
-        match field f k with
-        | Some (J_num _) -> Ok ()
-        | _ -> Error (Printf.sprintf "finding %d: missing number %S" i k)
-      in
-      let* () = str "rule" in
-      let* () = str "file" in
-      let* () = num "line" in
-      let* () = num "col" in
-      str "message"
-    in
-    let rec all i = function
-      | [] -> Ok ()
-      | f :: rest ->
-        let* () = check_finding i f in
-        all (i + 1) rest
-    in
-    all 0 fs

@@ -6,7 +6,6 @@ module Stats = Xqdb_optimizer.Stats
 module Op = Xqdb_physical.Phys_op
 
 type config = {
-  rewrite : Rewrite.config;
   merge_relfors : bool;
   planner : Planner.config;
   batch_size : int;
@@ -25,6 +24,11 @@ type pass = {
   run : ctx -> Plan_ir.t -> Plan_ir.t;
 }
 
+(* The rewrite's vartuples and the planner's plans must agree on whether
+   out-values are carried, so one setting drives both. *)
+let rewrite ctx q =
+  Rewrite.query ~config:{ Rewrite.carry_out = ctx.config.planner.Planner.carry_out } q
+
 let wrong_stage pass ir =
   invalid_arg
     (Printf.sprintf "Pipeline: pass %s cannot run on a %s stage" pass (Plan_ir.stage_kind ir))
@@ -35,7 +39,7 @@ let rewrite_pass =
     run =
       (fun ctx ir ->
         match ir with
-        | Plan_ir.Ast q -> Plan_ir.Tpm (Rewrite.query ~config:ctx.config.rewrite q)
+        | Plan_ir.Ast q -> Plan_ir.Tpm (rewrite ctx q)
         | Plan_ir.Tpm _ | Plan_ir.Phys _ -> wrong_stage "rewrite" ir) }
 
 let merge_pass =
@@ -116,7 +120,7 @@ let compile ctx query =
   | Plan_ir.Ast _ | Plan_ir.Tpm _ -> invalid_arg "Pipeline: final stage is not physical"
 
 let front ctx query =
-  let tpm = Rewrite.query ~config:ctx.config.rewrite query in
+  let tpm = rewrite ctx query in
   let tpm = if ctx.config.merge_relfors then Merge.merge tpm else tpm in
   validate ~pass:"front" (Plan_ir.Tpm tpm);
   tpm

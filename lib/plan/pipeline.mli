@@ -16,9 +16,9 @@
     of replanning per outer tuple. *)
 
 type config = {
-  rewrite : Xqdb_tpm.Rewrite.config;
   merge_relfors : bool;
   planner : Xqdb_optimizer.Planner.config;
+      (** its [carry_out] also selects the rewrite's vartuple shape *)
   batch_size : int;  (** rows per operator batch (validated upstream) *)
   scan_domains : int;
       (** domains the planner may split a full scan across (1 = off) *)

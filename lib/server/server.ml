@@ -125,12 +125,6 @@ end
    sockets.  [write] may raise (e.g. [Unix.Unix_error] on a peer that
    went away); the caller owns that.
 
-   Every response is encoded in the version of the request it answers —
-   a v1 client gets v1 frames (with [Timeout] downgraded, see {!Wire}).
-   Framing errors, where no request version is known, answer in
-   [Wire.min_version]: every client understands it and [Bad_request]
-   carries no v2 field.
-
    [on_shutdown] fires on a shutdown frame, after which the connection
    is done; [draining] is polled between requests so an in-flight
    connection ends at the next request boundary once a drain starts. *)
@@ -144,11 +138,10 @@ let handle_connection ?(on_shutdown = fun () -> ()) ?(draining = fun () -> false
          error there is no boundary to resynchronize on. *)
       Metrics.incr m_wire_errors;
       write
-        (Wire.encode_response ~version:Wire.min_version
-           (Wire.error_response Wire.Bad_request (Wire.error_to_string e)))
+        (Wire.encode_response (Wire.error_response Wire.Bad_request (Wire.error_to_string e)))
     | Result.Ok Wire.Incoming_shutdown -> on_shutdown ()
-    | Result.Ok (Wire.Incoming_request (version, req)) ->
-      write (Wire.encode_response ~version (Session.handle session req));
+    | Result.Ok (Wire.Incoming_request req) ->
+      write (Wire.encode_response (Session.handle session req));
       if not (draining ()) then loop ()
   in
   loop ()

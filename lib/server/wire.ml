@@ -3,16 +3,12 @@
    Every frame is a 10-byte header followed by a payload:
 
      bytes 0..3   magic "XQDB"
-     byte  4      protocol version (1 or 2)
+     byte  4      protocol version (2; any other is [Bad_version])
      byte  5      frame kind (1 = request, 2 = response, 3 = shutdown)
      bytes 6..9   payload length, u32 big-endian
 
-   Version 2 adds a per-request deadline (f64 seconds, 0 = none) to the
-   request's fixed fields, a retry-after hint (f64 seconds, 0 = none)
-   to the response's, the [Timeout] status byte, and the shutdown frame
-   kind.  Version-1 frames are still accepted: their decoders read the
-   v1 layouts, and a v1 response encodes [Timeout] as [Budget_exceeded]
-   (the nearest status a v1 client understands) and drops [retry_after].
+   One version is spoken: a change to a frame layout bumps [version],
+   and older versions are rejected, not translated.
 
    Decoding is total: any sequence of bytes — truncated, oversized,
    garbage — decodes to a typed [error], never an exception.  The read
@@ -21,7 +17,6 @@
 
 let magic = "XQDB"
 let version = 2
-let min_version = 1
 let header_size = 10
 
 (* Results carry serialized documents; queries are small text.  One
@@ -62,7 +57,7 @@ type response = {
 }
 
 type incoming =
-  | Incoming_request of int * request  (* the frame's protocol version *)
+  | Incoming_request of request
   | Incoming_shutdown
 
 type error =
@@ -105,17 +100,14 @@ let status_of_byte = function
 let error_response ?retry_after status message =
   { status; payload = message; elapsed = 0.; page_ios = 0; retry_after }
 
-let check_version v =
-  if v < min_version || v > version then invalid_arg "Wire: unsupported protocol version"
-
 (* --- encoding ---------------------------------------------------------- *)
 
-let frame ~version:v kind payload =
+let frame kind payload =
   let len = Bytes.length payload in
   if len > max_payload then invalid_arg "Wire: payload exceeds max_payload";
   let b = Bytes.create (header_size + len) in
   Bytes.blit_string magic 0 b 0 4;
-  Bytes.set_uint8 b 4 v;
+  Bytes.set_uint8 b 4 version;
   Bytes.set_uint8 b 5 kind;
   Bytes.set_int32_be b 6 (Int32.of_int len);
   Bytes.blit payload 0 b header_size len;
@@ -131,41 +123,32 @@ let add_f64 buf v =
   Bytes.set_int64_be b 0 (Int64.bits_of_float v);
   Buffer.add_bytes buf b
 
-let encode_request ?(version = version) r =
-  check_version version;
+let encode_request r =
   let buf = Buffer.create (64 + String.length r.query_text) in
   add_u32 buf (match r.max_page_ios with Some n -> n | None -> 0);
   add_f64 buf (match r.max_seconds with Some s -> s | None -> 0.);
-  (* The deadline field exists only from v2 on; a v1 frame simply
-     cannot carry one. *)
-  if version >= 2 then add_f64 buf (match r.deadline with Some s -> s | None -> 0.);
+  add_f64 buf (match r.deadline with Some s -> s | None -> 0.);
   add_u32 buf (String.length r.doc);
   Buffer.add_string buf r.doc;
   Buffer.add_string buf r.query_text;
-  frame ~version kind_request (Buffer.to_bytes buf)
+  frame kind_request (Buffer.to_bytes buf)
 
-let encode_response ?(version = version) r =
-  check_version version;
-  let status =
-    (* A v1 client has no Timeout byte: budget-exceeded is the closest
-       censoring status it understands. *)
-    if version < 2 && r.status = Timeout then Budget_exceeded else r.status
-  in
+let encode_response r =
   let buf = Buffer.create (32 + String.length r.payload) in
-  Buffer.add_uint8 buf (status_to_byte status);
+  Buffer.add_uint8 buf (status_to_byte r.status);
   add_f64 buf r.elapsed;
   add_u32 buf r.page_ios;
-  if version >= 2 then
-    add_f64 buf (match r.retry_after with Some s -> s | None -> 0.);
+  add_f64 buf (match r.retry_after with Some s -> s | None -> 0.);
   Buffer.add_string buf r.payload;
-  frame ~version kind_response (Buffer.to_bytes buf)
+  frame kind_response (Buffer.to_bytes buf)
 
-let encode_shutdown () = frame ~version kind_shutdown Bytes.empty
+let encode_shutdown () = frame kind_shutdown Bytes.empty
 
 (* --- decoding ---------------------------------------------------------- *)
 
-let decode_request ~version payload =
-  let fixed = if version >= 2 then 24 else 16 in
+let decode_request payload =
+  (* u32 budget, f64 seconds, f64 deadline, u32 doc length *)
+  let fixed = 24 in
   let len = Bytes.length payload in
   if len < fixed then Result.Error (Malformed "request shorter than its fixed fields")
   else begin
@@ -181,11 +164,9 @@ let decode_request ~version payload =
       | s -> Some s
     in
     let deadline =
-      if version < 2 then None
-      else
-        match Int64.float_of_bits (Bytes.get_int64_be payload 12) with
-        | 0. -> None
-        | s -> Some s
+      match Int64.float_of_bits (Bytes.get_int64_be payload 12) with
+      | 0. -> None
+      | s -> Some s
     in
     let doc_off = fixed - 4 in
     let doc_len = Int32.to_int (Bytes.get_int32_be payload doc_off) in
@@ -199,8 +180,9 @@ let decode_request ~version payload =
       Result.Ok { doc; query_text; max_page_ios; max_seconds; deadline }
   end
 
-let decode_response ~version payload =
-  let fixed = if version >= 2 then 21 else 13 in
+let decode_response payload =
+  (* u8 status, f64 elapsed, u32 page I/Os, f64 retry-after *)
+  let fixed = 21 in
   let len = Bytes.length payload in
   if len < fixed then Result.Error (Malformed "response shorter than its fixed fields")
   else
@@ -210,11 +192,9 @@ let decode_response ~version payload =
       let elapsed = Int64.float_of_bits (Bytes.get_int64_be payload 1) in
       let page_ios = Int32.to_int (Bytes.get_int32_be payload 9) in
       let retry_after =
-        if version < 2 then None
-        else
-          match Int64.float_of_bits (Bytes.get_int64_be payload 13) with
-          | 0. -> None
-          | s -> Some s
+        match Int64.float_of_bits (Bytes.get_int64_be payload 13) with
+        | 0. -> None
+        | s -> Some s
       in
       let payload = Bytes.sub_string payload fixed (len - fixed) in
       Result.Ok { status; payload; elapsed; page_ios; retry_after }
@@ -243,14 +223,14 @@ let read_frame ~read =
       let v = Bytes.get_uint8 header 4 in
       let kind = Bytes.get_uint8 header 5 in
       let len = Int32.to_int (Bytes.get_int32_be header 6) in
-      if v < min_version || v > version then Result.Error (Bad_version v)
+      if v <> version then Result.Error (Bad_version v)
       else if kind <> kind_request && kind <> kind_response && kind <> kind_shutdown
       then Result.Error (Bad_kind kind)
       else if len < 0 || len > max_payload then Result.Error (Oversize len)
       else begin
         let payload = Bytes.create len in
         match read_exact read payload with
-        | Result.Ok true -> Result.Ok (v, kind, payload)
+        | Result.Ok true -> Result.Ok (kind, payload)
         | Result.Ok false | Result.Error _ -> Result.Error Truncated
       end
     end
@@ -258,27 +238,24 @@ let read_frame ~read =
 let read_incoming ~read =
   match read_frame ~read with
   | Result.Error e -> Result.Error e
-  | Result.Ok (v, kind, payload) ->
+  | Result.Ok (kind, payload) ->
     if kind = kind_shutdown then Result.Ok Incoming_shutdown
     else if kind <> kind_request then Result.Error (Bad_kind kind)
-    else
-      match decode_request ~version:v payload with
-      | Result.Ok r -> Result.Ok (Incoming_request (v, r))
-      | Result.Error e -> Result.Error e
+    else Result.map (fun r -> Incoming_request r) (decode_request payload)
 
 let read_request ~read =
   match read_frame ~read with
   | Result.Error e -> Result.Error e
-  | Result.Ok (v, kind, payload) ->
+  | Result.Ok (kind, payload) ->
     if kind <> kind_request then Result.Error (Bad_kind kind)
-    else decode_request ~version:v payload
+    else decode_request payload
 
 let read_response ~read =
   match read_frame ~read with
   | Result.Error e -> Result.Error e
-  | Result.Ok (v, kind, payload) ->
+  | Result.Ok (kind, payload) ->
     if kind <> kind_response then Result.Error (Bad_kind kind)
-    else decode_response ~version:v payload
+    else decode_response payload
 
 (* A [read] function over an in-memory byte string — the test feeds, and
    a convenient way to exercise the decoder on fuzz input. *)

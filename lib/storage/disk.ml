@@ -221,11 +221,6 @@ let counters t = { reads = t.reads; writes = t.writes; allocs = t.allocs }
 
 let total_ios t = t.reads + t.writes
 
-let reset_counters t =
-  t.reads <- 0;
-  t.writes <- 0;
-  t.allocs <- 0
-
 let close t =
   match t.backend with
   | Mem _ -> ()

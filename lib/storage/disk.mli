@@ -100,7 +100,6 @@ type counters = {
 }
 
 val counters : t -> counters
-val reset_counters : t -> unit
 
 val total_ios : t -> int
 (** [reads + writes], without allocating a {!counters} record — the

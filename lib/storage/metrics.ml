@@ -28,12 +28,6 @@ let value c = Atomic.get c.value
 let incr c = ignore (Atomic.fetch_and_add c.value 1)
 let add c n = ignore (Atomic.fetch_and_add c.value n)
 
-let time c f =
-  let start = Sys.time () in
-  Fun.protect
-    ~finally:(fun () -> add c (int_of_float ((Sys.time () -. start) *. 1e6)))
-    f
-
 type snapshot = (string * int) list
 
 let snapshot () =
@@ -54,7 +48,3 @@ let diff later earlier =
       let d = v - get earlier name in
       if d = 0 then None else Some (name, d))
     later
-
-let reset () =
-  Mutex.protect registry_mutex (fun () ->
-      Hashtbl.iter (fun _ c -> Atomic.set c.value 0) registry)

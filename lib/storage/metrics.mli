@@ -35,11 +35,6 @@ val value : counter -> int
 val incr : counter -> unit
 val add : counter -> int -> unit
 
-val time : counter -> (unit -> 'a) -> 'a
-(** Run the thunk and add its elapsed CPU time, in microseconds, to the
-    counter (also on exception).  For coarse-grained phases only — it
-    costs two [Sys.time] calls. *)
-
 type snapshot = (string * int) list
 (** Sorted by counter name. *)
 
@@ -50,7 +45,3 @@ val get : snapshot -> string -> int
 
 val diff : snapshot -> snapshot -> snapshot
 (** [diff later earlier] — per-counter deltas, zero entries dropped. *)
-
-val reset : unit -> unit
-(** Zero every registered counter.  Benchmark-harness bookkeeping;
-    engines attribute by delta and never need it. *)

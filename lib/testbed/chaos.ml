@@ -14,8 +14,8 @@ module Dblp = Xqdb_workload.Dblp_gen
    with the fault-free run as its own oracle.
 
    Both traffic legs replay the *same* seeded per-session schedules —
-   a mix of well-formed requests (current and v1 wire versions),
-   already-expired deadlines and hostile byte strings — through the
+   a mix of well-formed requests, stale-version frames, already-expired
+   deadlines and hostile byte strings — through the
    server's real connection loop.  The baseline leg runs them
    fault-free; the chaos leg re-runs them with a seeded Fault_disk
    injector armed.  Deliberate abuse (hostile frames, dead deadlines)
@@ -37,11 +37,6 @@ type profile =
 let profile_label = function
   | Transient -> "transient"
   | Hard -> "hard"
-
-let profile_of_string = function
-  | "transient" -> Some Transient
-  | "hard" -> Some Hard
-  | _ -> None
 
 type leg = {
   leg : string;
@@ -76,15 +71,6 @@ type report = {
   p99_ratio : float;
   violations : string list;
 }
-
-let doc_name = "dblp"
-
-let mix () = Queries.efficiency_queries @ [("example6", Queries.example6)]
-
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
 
 (* Deep retries for the chaos database: at the fault rates the harness
    injects, the default 3-attempt policy would give up on back-to-back
@@ -123,8 +109,8 @@ let fault_policy = function
 (* What one slot of a session's schedule does.  Drawn once per (seed,
    session) and replayed identically by both legs. *)
 type plan =
-  | Normal of int  (* mix entry, current wire version *)
-  | Old_version of int  (* mix entry, spoken as a v1 frame *)
+  | Normal of int  (* mix entry *)
+  | Stale_version of int  (* mix entry under an unsupported version byte *)
   | Expired of int  (* mix entry with an already-dead deadline *)
   | Hostile of int  (* one of the hostile byte strings *)
 
@@ -133,7 +119,9 @@ let u32be n =
   Bytes.set_int32_be b 0 (Int32.of_int n);
   Bytes.to_string b
 
-let frame_header ?(magic = "XQDB") ?(version = 1) ?(kind = 1) len =
+(* The header defaults to the current version, so each hostile frame
+   below reaches the decoder branch it is aimed at. *)
+let frame_header ?(magic = "XQDB") ?(version = Wire.version) ?(kind = 1) len =
   magic ^ String.make 1 (Char.chr version) ^ String.make 1 (Char.chr kind) ^ u32be len
 
 (* Every variant must decode to a typed non-[Closed] error, so the
@@ -151,11 +139,11 @@ let schedule ~seed ~requests ~mix_size k =
       let d = Random.State.int rng 100 in
       if d < 4 then Hostile (Random.State.int rng (Array.length hostile_frames))
       else if d < 8 then Expired (Random.State.int rng mix_size)
-      else if d < 16 then Old_version (Random.State.int rng mix_size)
+      else if d < 16 then Stale_version (Random.State.int rng mix_size)
       else Normal (Random.State.int rng mix_size))
 
 let make_request ?deadline text =
-  { Wire.doc = doc_name; query_text = text; max_page_ios = None; max_seconds = None;
+  { Wire.doc = Traffic.doc_name; query_text = text; max_page_ios = None; max_seconds = None;
     deadline }
 
 (* One plan through the server's real connection loop (one frame, then
@@ -164,8 +152,12 @@ let play session plan mix =
   let frame =
     match plan with
     | Normal i -> Bytes.to_string (Wire.encode_request (make_request (snd mix.(i))))
-    | Old_version i ->
-      Bytes.to_string (Wire.encode_request ~version:1 (make_request (snd mix.(i))))
+    | Stale_version i ->
+      (* A well-formed request under the previous version byte: the
+         server must reject it with one [Bad_request], not translate it. *)
+      let b = Wire.encode_request (make_request (snd mix.(i))) in
+      Bytes.set_uint8 b 4 (Wire.version - 1);
+      Bytes.to_string b
     | Expired i ->
       (* A deadline already in the past: the session must censor it with
          the typed [Timeout], touching no page. *)
@@ -199,7 +191,7 @@ type outcome = {
   c_untyped : int;
 }
 
-let run_session ~db ~mix ~oracle ~sched () =
+let run_session ~db ~mix ~oracle ~sched =
   let session = Session.create db in
   let n = Array.length sched in
   let latencies = Array.make n 0. in
@@ -210,19 +202,20 @@ let run_session ~db ~mix ~oracle ~sched () =
     let t0 = Storage.Monotonic.now () in
     (match play session sched.(i) mix with
      | [resp] ->
-       (match resp.Wire.status with
-        | Wire.Ok ->
-          incr ok;
-          (* Faults may never corrupt an answer: an [Ok] payload must
-             equal the fault-free oracle's, byte for byte. *)
-          let expected =
-            match sched.(i) with
-            | Normal q | Old_version q -> Hashtbl.find_opt oracle (snd mix.(q))
-            | Expired _ | Hostile _ -> None
-          in
-          (match expected with
+       (* Faults may never corrupt an answer: an [Ok] payload must equal
+          the fault-free oracle's, byte for byte, and a frame the decoder
+          must reject gets [Bad_request]. *)
+       (match sched.(i), resp.Wire.status with
+        | (Stale_version _ | Hostile _), Wire.Bad_request -> ()
+        | (Stale_version _ | Hostile _), _ -> incr mism
+        | Normal q, Wire.Ok ->
+          (match Hashtbl.find_opt oracle (snd mix.(q)) with
            | Some payload when String.equal payload resp.Wire.payload -> ()
            | Some _ | None -> incr mism)
+        | Expired _, Wire.Ok -> incr mism
+        | (Normal _ | Expired _), _ -> ());
+       (match resp.Wire.status with
+        | Wire.Ok -> incr ok
         | Wire.Budget_exceeded -> incr budget
         | Wire.Timeout -> incr timeout
         | Wire.Error -> incr error
@@ -259,21 +252,9 @@ let aggregate ~label outcomes =
     unavailable = sum (fun o -> o.c_unavailable);
     mismatches = sum (fun o -> o.c_mism);
     untyped = sum (fun o -> o.c_untyped);
-    p50_ms = 1000. *. percentile all 0.50;
-    p95_ms = 1000. *. percentile all 0.95;
-    p99_ms = 1000. *. percentile all 0.99 }
-
-let assert_quiescent ~label pool =
-  (match Storage.Buffer_pool.pinned_pages pool with
-   | [] -> ()
-   | leaked ->
-     Storage.Xqdb_error.internal "Chaos: %d page(s) still pinned after the %s leg"
-       (List.length leaked) label);
-  match Storage.Buffer_pool.latched_pages pool with
-  | [] -> ()
-  | leaked ->
-    Storage.Xqdb_error.internal "Chaos: %d frame latch(es) still held after the %s leg"
-      (List.length leaked) label
+    p50_ms = 1000. *. Traffic.percentile all 0.50;
+    p95_ms = 1000. *. Traffic.percentile all 0.95;
+    p99_ms = 1000. *. Traffic.percentile all 0.99 }
 
 (* The oracle: every distinct query answered once, fault-free (the
    caller records it before any injector is armed). *)
@@ -295,7 +276,7 @@ let record_oracle ~db mix =
 let waves = 3
 
 let run_leg ~label ~db ~mix ~oracle ~scheds () =
-  let pool = Engine.pool (Database.engine db ~name:doc_name) in
+  let pool = Engine.pool (Database.engine db ~name:Traffic.doc_name) in
   let sessions = Array.length scheds in
   let outcomes = ref [] in
   for _wave = 1 to waves do
@@ -304,13 +285,9 @@ let run_leg ~label ~db ~mix ~oracle ~scheds () =
        the latency comparison is like against like. *)
     Storage.Buffer_pool.drop_all pool;
     let os =
-      if sessions = 1 then [| run_session ~db ~mix ~oracle ~sched:scheds.(0) () |]
-      else
-        Array.map Domain.join
-          (Array.init sessions (fun k ->
-               Domain.spawn (fun () -> run_session ~db ~mix ~oracle ~sched:scheds.(k) ())))
+      Traffic.run_sessions sessions (fun k -> run_session ~db ~mix ~oracle ~sched:scheds.(k))
     in
-    assert_quiescent ~label pool;
+    Traffic.assert_quiescent ~after:(Printf.sprintf "the chaos harness's %s leg" label) pool;
     outcomes := os :: !outcomes
   done;
   aggregate ~label (Array.concat (List.rev !outcomes))
@@ -395,7 +372,7 @@ let leg_violations (l : leg) =
    else [])
   @
   if l.mismatches > 0 then
-    [Printf.sprintf "%s leg: %d Ok payload(s) diverged from the fault-free oracle"
+    [Printf.sprintf "%s leg: %d response(s) diverged from the fault-free oracle"
        l.leg l.mismatches]
   else []
 
@@ -408,8 +385,8 @@ let run ?(profile = Transient) ?(max_p99_ratio = 200.0) ~sessions ~requests ~see
   if sessions < 1 then invalid_arg "Chaos.run: sessions must be positive";
   if requests < 1 then invalid_arg "Chaos.run: requests must be positive";
   let db = Database.create ~config:chaos_config () in
-  ignore (Database.load_forest db ~name:doc_name [Dblp.generate (Dblp.scaled scale)]);
-  let mix = Array.of_list (mix ()) in
+  ignore (Database.load_forest db ~name:Traffic.doc_name [Dblp.generate (Dblp.scaled scale)]);
+  let mix = Array.of_list (Traffic.mix ()) in
   let scheds =
     Array.init sessions (schedule ~seed ~requests ~mix_size:(Array.length mix))
   in

@@ -8,8 +8,9 @@
     + a {e chaos} traffic leg: the same seeded schedules with a
       {!Xqdb_storage.Fault_disk} injector armed, and a seeded sprinkle
       of hostile frames (garbage bytes through the wire decoder),
-      already-expired deadlines and old-version (v1) frames mixed into
-      the request stream;
+      already-expired deadlines and stale-version frames (a well-formed
+      request under an unsupported version byte, which must get one
+      [Bad_request]) mixed into the request stream;
     + a single-threaded {e WAL-fault} leg on a scratch file database:
       load/drop/checkpoint cycles with transient [Wal] append/sync
       faults injected, asserting the storage retry absorbed them
@@ -33,8 +34,6 @@ type profile =
 val profile_label : profile -> string
 (** ["transient"] or ["hard"]. *)
 
-val profile_of_string : string -> profile option
-
 type leg = {
   leg : string;  (** ["baseline"] or ["chaos"] *)
   requests : int;
@@ -46,7 +45,8 @@ type leg = {
   bad_requests : int;
   unavailable : int;
   mismatches : int;
-      (** [Ok] responses whose payload diverged from the oracle *)
+      (** [Ok] payloads that diverged from the oracle, plus rejected
+          frames answered with anything but [Bad_request] *)
   untyped : int;  (** exceptions that escaped the wire path — must be 0 *)
   p50_ms : float;
   p95_ms : float;

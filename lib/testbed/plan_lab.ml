@@ -24,8 +24,7 @@ let query = Xqdb_xq.Xq_parser.parse Queries.example6
 (* The laboratory studies the single merged relfor of Example 6; the
    front half of the staged pipeline (rewrite + merge) produces it. *)
 let front_config =
-  { Pipeline.rewrite = Xqdb_tpm.Rewrite.default;
-    merge_relfors = true;
+  { Pipeline.merge_relfors = true;
     planner = Planner.m4_config;
     batch_size = 256;
     scan_domains = 1 }

@@ -272,28 +272,6 @@ let profile_json (p : Engine.profile) =
       ("other_ios", Int p.other_ios);
       ("operators", Arr (List.map op_json p.operators)) ]
 
-(* The planner/engine counter deltas a run's profile carries; surfaced
-   as top-level result fields (schema v2) so CI can assert on them
-   without digging through the counters object. *)
-let template_fields (p : Engine.profile) =
-  let counter name =
-    match List.assoc_opt name p.counters with Some v -> v | None -> 0
-  in
-  [ ("templates_built", Int (counter "planner.templates_built"));
-    ("template_binds", Int (counter "planner.template_binds"));
-    ("prepared_cache_hits", Int (counter "engine.prepared_cache_hits")) ]
-
-(* WAL and recovery counter deltas (schema v3), surfaced as top-level
-   result fields; zero for engines running without a log, so CI can
-   assert durability activity without digging through counters. *)
-let durability_fields (p : Engine.profile) =
-  let counter name =
-    match List.assoc_opt name p.counters with Some v -> v | None -> 0
-  in
-  [ ("wal_appends", Int (counter "wal.appends"));
-    ("wal_checkpoints", Int (counter "wal.checkpoints"));
-    ("recovery_replayed", Int (counter "wal.recovery_replayed")) ]
-
 let result_json ?(extra = []) ~engine ~test (r : Engine.result) =
   Obj
     ([ ("engine", Str engine); ("test", Str test) ]
@@ -301,36 +279,28 @@ let result_json ?(extra = []) ~engine ~test (r : Engine.result) =
     @ [ ("page_ios", Int r.page_ios);
         ("seconds", Float r.elapsed);
         ( "censored",
-          Bool (match r.status with Engine.Budget_exceeded _ -> true | _ -> false) ) ]
-    @ template_fields r.profile
-    @ durability_fields r.profile
-    @ [("profile", profile_json r.profile)])
+          Bool (match r.status with Engine.Budget_exceeded _ -> true | _ -> false) );
+        ("profile", profile_json r.profile) ])
 
 let cell_json (c : Efficiency.cell) =
   Obj
-    ([ ("engine", Str c.engine);
-       ("test", Str c.test);
-       ("page_ios", Int c.page_ios);
-       ("seconds", Float c.seconds);
-       ("censored", Bool c.censored) ]
-    @ template_fields c.profile
-    @ durability_fields c.profile
-    @ [("profile", profile_json c.profile)])
+    [ ("engine", Str c.engine);
+      ("test", Str c.test);
+      ("page_ios", Int c.page_ios);
+      ("seconds", Float c.seconds);
+      ("censored", Bool c.censored);
+      ("profile", profile_json c.profile) ]
 
-let schema_version = 6
-
-(* v1 reports (no template counter fields), v2 reports (no durability
-   fields), v3 reports (no traffic kind), v4 reports (no per-operator
-   batch counts) and v5 reports (no chaos kind, no per-session timeout
-   counts) stay parseable/valid. *)
-let accepted_versions = [1; 2; 3; 4; 5; schema_version]
+(* Bumped on every schema change; reports are regenerated, never
+   migrated, so only the current version validates. *)
+let schema_version = 7
 
 let bench_json ~kind extra ~results =
   Obj
     ((("schema_version", Int schema_version) :: ("kind", Str kind) :: extra)
     @ [("results", Arr results)])
 
-(* The batch-vs-tuple comparison carried by fig7 reports (schema v5):
+(* The batch-vs-tuple comparison a fig7 report may carry:
    the same engines and workload run once at the configured batch size
    and once degraded to one-row batches through the identical operator
    code, so the seconds delta isolates the vectorization win.  Rankings
@@ -487,25 +457,34 @@ let int_field obj name =
   let* v = need name (member name obj) in
   as_int name v
 
+let number_field obj name =
+  let* v = need name (member name obj) in
+  as_number name v
+
+let str_field obj name =
+  let* v = need name (member name obj) in
+  as_str name v
+
+(* [check] every item, stopping at the first error. *)
+let check_all check items =
+  List.fold_left
+    (fun acc item ->
+      let* () = acc in
+      check item)
+    (Ok ()) items
+
 let rec validate_op op =
   let* _ = need "op" (member "op" op) in
   let* ios = int_field op "ios" in
   let* own = int_field op "own_ios" in
   let* rows = int_field op "rows" in
-  (* v5 reports carry per-operator batch counts; every non-empty batch
-     holds at least one row, so batches can never exceed rows. *)
-  let* () =
-    match member "batches" op with
-    | None -> Ok ()
-    | Some v ->
-      let* batches = as_int "batches" v in
-      if batches < 0 then Error "negative batches"
-      else if batches > rows then
-        Error (Printf.sprintf "batches %d exceed rows %d" batches rows)
-      else Ok ()
-  in
+  let* batches = int_field op "batches" in
   if rows < 0 then Error "negative rows"
   else if own < 0 then Error "negative own_ios"
+  else if batches < 0 then Error "negative batches"
+  else if batches > rows then
+    (* Every non-empty batch holds at least one row. *)
+    Error (Printf.sprintf "batches %d exceed rows %d" batches rows)
   else
     let* inputs = need "inputs" (member "inputs" op) in
     let* inputs = as_arr "inputs" inputs in
@@ -553,45 +532,25 @@ let validate_profile p =
       let* _ = int_field pool "misses" in
       Ok ()
 
-let validate_result ~version r =
-  let* engine = need "engine" (member "engine" r) in
-  let* _ = as_str "engine" engine in
-  let* test = need "test" (member "test" r) in
-  let* _ = as_str "test" test in
-  let counter_fields =
-    (if version >= 2 then ["templates_built"; "template_binds"; "prepared_cache_hits"]
-     else [])
-    @ (if version >= 3 then ["wal_appends"; "wal_checkpoints"; "recovery_replayed"] else [])
-  in
-  let* () =
-    List.fold_left
-      (fun acc name ->
-        let* () = acc in
-        let* v = int_field r name in
-        if v < 0 then Error (Printf.sprintf "negative %s" name) else Ok ())
-      (Ok ()) counter_fields
-  in
-  let* _ = int_field r "page_ios" in
-  let* seconds = need "seconds" (member "seconds" r) in
-  let* _ = as_number "seconds" seconds in
+let validate_result r =
+  let* _ = str_field r "engine" in
+  let* _ = str_field r "test" in
+  let* page_ios = int_field r "page_ios" in
+  let* _ = number_field r "seconds" in
   let* censored = need "censored" (member "censored" r) in
   let* censored = as_bool "censored" censored in
-  match member "profile" r with
-  | None -> Error "missing field profile"
-  | Some profile ->
-    (* A censored run's page_ios is the assigned budget, not the raw
-       counter delta, so only uncensored results must reconcile against
-       the top-level number; the profile must still be self-consistent. *)
-    let* () = validate_profile profile in
-    if censored then Ok ()
-    else
-      let* page_ios = int_field r "page_ios" in
-      let* reads = int_field profile "reads" in
-      let* writes = int_field profile "writes" in
-      if reads + writes <> page_ios then
-        Error
-          (Printf.sprintf "page_ios %d <> profile reads %d + writes %d" page_ios reads writes)
-      else Ok ()
+  let* profile = need "profile" (member "profile" r) in
+  (* A censored run's page_ios is the assigned budget, not the raw
+     counter delta, so only uncensored results must reconcile against
+     the top-level number; the profile must still be self-consistent. *)
+  let* () = validate_profile profile in
+  if censored then Ok ()
+  else
+    let* reads = int_field profile "reads" in
+    let* writes = int_field profile "writes" in
+    if reads + writes <> page_ios then
+      Error (Printf.sprintf "page_ios %d <> profile reads %d + writes %d" page_ios reads writes)
+    else Ok ()
 
 (* A crash-sweep result: one crash point's verdict, no profile. *)
 let validate_crash_result r =
@@ -604,135 +563,86 @@ let validate_crash_result r =
   let* _ = as_bool "crashed" crashed in
   let* ok = need "ok" (member "ok" r) in
   let* _ = as_bool "ok" ok in
-  let* detail = need "detail" (member "detail" r) in
-  let* _ = as_str "detail" detail in
+  let* _ = str_field r "detail" in
   if trial < 0 then Error "negative trial"
   else if point < 1 then Error "crash point must be >= 1"
   else if point > events then
     Error (Printf.sprintf "crash point %d past the %d observed events" point events)
   else Ok ()
 
-(* A traffic session entry: the outcome counts must partition the
-   session's requests, latency percentiles must be ordered, and — the
-   gate CI relies on — the concurrent run must match the single-session
-   oracle exactly (zero mismatches). *)
+(* A traffic session or a chaos leg: the outcome counts must partition
+   its requests, latency percentiles must be ordered, and — the gate CI
+   relies on — every response must match its oracle (zero mismatches). *)
+let validate_outcomes ~label ~outcomes ~oracle r =
+  let* requests = int_field r "requests" in
+  let* counts =
+    List.fold_left
+      (fun acc name ->
+        let* acc = acc in
+        let* n = int_field r name in
+        Ok (n :: acc))
+      (Ok []) outcomes
+  in
+  let counts = List.rev counts in
+  let* mismatches = int_field r "mismatches" in
+  let* p50 = number_field r "p50_ms" in
+  let* p95 = number_field r "p95_ms" in
+  let* p99 = number_field r "p99_ms" in
+  if requests < 1 then Error (Printf.sprintf "%s with no requests" label)
+  else if List.fold_left ( + ) 0 counts <> requests then
+    Error
+      (Printf.sprintf "%s outcomes do not partition: %s <> %d" label
+         (String.concat "+" (List.map string_of_int counts))
+         requests)
+  else if mismatches <> 0 then
+    Error
+      (Printf.sprintf "%s diverged from the %s oracle (%d mismatches)" label oracle mismatches)
+  else if p50 < 0. || p95 < 0. || p99 < 0. then Error "negative latency percentile"
+  else if p50 > p95 || p95 > p99 then
+    Error (Printf.sprintf "%s latency percentiles not ordered" label)
+  else Ok ()
+
+let session_outcomes =
+  ["ok"; "budget_exceeded"; "timeouts"; "errors"; "io_errors"; "bad_requests"]
+
 let validate_traffic_result r =
   let* session = int_field r "session" in
-  let* requests = int_field r "requests" in
-  let* ok = int_field r "ok" in
-  let* budget = int_field r "budget_exceeded" in
-  (* v6 added the per-session timeout count; older reports carry none
-     (no deadlines on the v5 wire, so the count was identically 0). *)
-  let* timeouts =
-    match member "timeouts" r with
-    | None -> Ok 0
-    | Some v -> as_int "timeouts" v
-  in
-  let* errors = int_field r "errors" in
-  let* io = int_field r "io_errors" in
-  let* bad = int_field r "bad_requests" in
-  let* mismatches = int_field r "mismatches" in
-  let* p50 = need "p50_ms" (member "p50_ms" r) in
-  let* p50 = as_number "p50_ms" p50 in
-  let* p95 = need "p95_ms" (member "p95_ms" r) in
-  let* p95 = as_number "p95_ms" p95 in
-  let* p99 = need "p99_ms" (member "p99_ms" r) in
-  let* p99 = as_number "p99_ms" p99 in
   if session < 0 then Error "negative session"
-  else if requests < 1 then Error "session with no requests"
-  else if ok + budget + timeouts + errors + io + bad <> requests then
-    Error
-      (Printf.sprintf "session %d outcomes do not partition: %d+%d+%d+%d+%d+%d <> %d"
-         session ok budget timeouts errors io bad requests)
-  else if mismatches <> 0 then
-    Error
-      (Printf.sprintf "session %d diverged from the single-session oracle (%d mismatches)"
-         session mismatches)
-  else if p50 < 0. || p95 < 0. || p99 < 0. then Error "negative latency percentile"
-  else if p50 > p95 || p95 > p99 then
-    Error (Printf.sprintf "session %d latency percentiles not ordered" session)
-  else Ok ()
+  else
+    validate_outcomes
+      ~label:(Printf.sprintf "session %d" session)
+      ~outcomes:session_outcomes ~oracle:"single-session" r
 
-(* A chaos leg entry: the outcome counts must partition the leg's
-   requests, every failure must be typed (zero untyped escapes), Ok
-   responses must match the fault-free oracle (zero mismatches), and
-   percentiles must be ordered. *)
+(* Chaos legs also count shed requests, and every failure must be typed. *)
 let validate_chaos_result r =
-  let* leg = need "leg" (member "leg" r) in
-  let* leg = as_str "leg" leg in
-  let* requests = int_field r "requests" in
-  let* ok = int_field r "ok" in
-  let* budget = int_field r "budget_exceeded" in
-  let* timeouts = int_field r "timeouts" in
-  let* errors = int_field r "errors" in
-  let* io = int_field r "io_errors" in
-  let* bad = int_field r "bad_requests" in
-  let* unavailable = int_field r "unavailable" in
-  let* mismatches = int_field r "mismatches" in
+  let* leg = str_field r "leg" in
   let* untyped = int_field r "untyped" in
-  let* p50 = need "p50_ms" (member "p50_ms" r) in
-  let* p50 = as_number "p50_ms" p50 in
-  let* p95 = need "p95_ms" (member "p95_ms" r) in
-  let* p95 = as_number "p95_ms" p95 in
-  let* p99 = need "p99_ms" (member "p99_ms" r) in
-  let* p99 = as_number "p99_ms" p99 in
   if String.length leg = 0 then Error "empty leg label"
-  else if requests < 1 then Error (Printf.sprintf "%s leg with no requests" leg)
-  else if ok + budget + timeouts + errors + io + bad + unavailable <> requests then
-    Error
-      (Printf.sprintf "%s leg outcomes do not partition: %d+%d+%d+%d+%d+%d+%d <> %d" leg
-         ok budget timeouts errors io bad unavailable requests)
   else if untyped <> 0 then
     Error (Printf.sprintf "%s leg let %d failure(s) escape untyped" leg untyped)
-  else if mismatches <> 0 then
-    Error
-      (Printf.sprintf "%s leg diverged from the fault-free oracle (%d mismatches)" leg
-         mismatches)
-  else if p50 < 0. || p95 < 0. || p99 < 0. then Error "negative latency percentile"
-  else if p50 > p95 || p95 > p99 then
-    Error (Printf.sprintf "%s leg latency percentiles not ordered" leg)
-  else Ok ()
-
-let validate_bench json =
-  let* version = need "schema_version" (member "schema_version" json) in
-  let* version = as_int "schema_version" version in
-  if not (List.mem version accepted_versions) then
-    Error (Printf.sprintf "unsupported schema_version %d" version)
   else
-    let* kind = need "kind" (member "kind" json) in
-    let* kind = as_str "kind" kind in
-    let* results = need "results" (member "results" json) in
-    let* results = as_arr "results" results in
-    if results = [] then Error "empty results"
-    else if String.equal kind "traffic" && version < 4 then
-      Error (Printf.sprintf "traffic reports need schema_version >= 4, got %d" version)
-    else if String.equal kind "chaos" && version < 6 then
-      Error (Printf.sprintf "chaos reports need schema_version >= 6, got %d" version)
-    else
-      let check =
-        if String.equal kind "crash" then validate_crash_result
-        else if String.equal kind "traffic" then validate_traffic_result
-        else if String.equal kind "chaos" then validate_chaos_result
-        else validate_result ~version
-      in
-      List.fold_left
-        (fun acc r ->
-          let* () = acc in
-          check r)
-        (Ok ()) results
+    validate_outcomes ~label:(leg ^ " leg")
+      ~outcomes:(session_outcomes @ ["unavailable"])
+      ~oracle:"fault-free" r
 
-let validate_constant_templates json =
-  let* results = need "results" (member "results" json) in
-  let* results = as_arr "results" results in
+(* A counter delta from a result's profile; zero deltas are omitted. *)
+let profile_counter r name =
+  match Option.bind (Option.bind (member "profile" r) (member "counters")) (member name) with
+  | None -> Ok 0
+  | Some v -> as_int name v
+
+(* The compile-once gate over a templates report: within it, every
+   (engine, test) pair must show the same planner.templates_built
+   across all its results — a count that grows with data size means
+   planning happens per outer tuple again. *)
+let validate_constant_templates results =
   let* keyed =
     List.fold_left
       (fun acc r ->
         let* acc = acc in
-        let* engine = need "engine" (member "engine" r) in
-        let* engine = as_str "engine" engine in
-        let* test = need "test" (member "test" r) in
-        let* test = as_str "test" test in
-        let* built = int_field r "templates_built" in
+        let* engine = str_field r "engine" in
+        let* test = str_field r "test" in
+        let* built = profile_counter r "planner.templates_built" in
         Ok ((engine ^ " / " ^ test, built) :: acc))
       (Ok []) results
   in
@@ -754,17 +664,13 @@ let validate_constant_templates json =
    must show the m4 plans doing strictly less page I/O than the same
    engine with structural indexes disabled.  Shallow tests are exempt —
    the index family deliberately stays out of their plans. *)
-let validate_structural_gain json =
-  let* results = need "results" (member "results" json) in
-  let* results = as_arr "results" results in
+let validate_structural_gain results =
   let* keyed =
     List.fold_left
       (fun acc r ->
         let* acc = acc in
-        let* engine = need "engine" (member "engine" r) in
-        let* engine = as_str "engine" engine in
-        let* test = need "test" (member "test" r) in
-        let* test = as_str "test" test in
+        let* engine = str_field r "engine" in
+        let* test = str_field r "test" in
         let* ios = int_field r "page_ios" in
         Ok ((test, (engine, ios)) :: acc))
       (Ok []) results
@@ -780,16 +686,13 @@ let validate_structural_gain json =
   in
   if deep_tests = [] then Error "no deep-* structural tests in the report"
   else
-    List.fold_left
-      (fun acc test ->
-        let* () = acc in
+    check_all
+      (fun test ->
         let ios_of engine =
-          List.assoc_opt (engine, ())
-            (List.filter_map
-               (fun (t, (e, ios)) ->
-                 if String.equal t test && String.equal e engine then Some ((e, ()), ios)
-                 else None)
-               keyed)
+          List.find_map
+            (fun (t, (e, ios)) ->
+              if String.equal t test && String.equal e engine then Some ios else None)
+            keyed
         in
         match ios_of "m4", ios_of "m4-nostruct" with
         | Some with_struct, Some without when with_struct < without -> Ok ()
@@ -800,20 +703,17 @@ let validate_structural_gain json =
                test with_struct without)
         | None, _ | _, None ->
           Error (Printf.sprintf "%s: missing m4 or m4-nostruct measurement" test))
-      (Ok ()) deep_tests
+      deep_tests
 
-(* The batch-gain gate: a fig7 report's batch-vs-tuple comparison must
-   show the vectorized run strictly faster than the same engines
+(* The batch-gain gate over a fig7 report's batch-vs-tuple comparison:
+   the vectorized run must be strictly faster than the same engines
    degraded to one-row batches, without disturbing the engine rankings
    (same code path, same plans, same page I/Os — only the per-row
    overhead changes). *)
-let validate_batch_gain json =
-  let* batch = need "batch" (member "batch" json) in
+let validate_batch_gain batch =
   let* size = int_field batch "batch_size" in
-  let* batch_seconds = need "batch_seconds" (member "batch_seconds" batch) in
-  let* batch_seconds = as_number "batch_seconds" batch_seconds in
-  let* tuple_seconds = need "tuple_seconds" (member "tuple_seconds" batch) in
-  let* tuple_seconds = as_number "tuple_seconds" tuple_seconds in
+  let* batch_seconds = number_field batch "batch_seconds" in
+  let* tuple_seconds = number_field batch "tuple_seconds" in
   let ranking name =
     let* arr = need name (member name batch) in
     let* items = as_arr name arr in
@@ -841,6 +741,51 @@ let validate_batch_gain json =
          "batched execution shows no gain: %.3fs at batch %d vs %.3fs tuple-at-a-time"
          batch_seconds size tuple_seconds)
   else Ok ()
+
+let check_version json ~expected =
+  let* version = int_field json "schema_version" in
+  if version = expected then Ok ()
+  else Error (Printf.sprintf "unsupported schema_version %d (expected %d)" version expected)
+
+let validate_bench json =
+  let* () = check_version json ~expected:schema_version in
+  let* kind = str_field json "kind" in
+  let* results = need "results" (member "results" json) in
+  let* results = as_arr "results" results in
+  let check =
+    match kind with
+    | "crash" -> validate_crash_result
+    | "traffic" -> validate_traffic_result
+    | "chaos" -> validate_chaos_result
+    | _ -> validate_result
+  in
+  let* () = if results = [] then Error "empty results" else check_all check results in
+  match kind, member "batch" json with
+  | "templates", _ -> validate_constant_templates results
+  | "structural", _ -> validate_structural_gain results
+  | "fig7", Some batch -> validate_batch_gain batch
+  | _ -> Ok ()
+
+let validate_lint ~schema_version json =
+  let* () = check_version json ~expected:schema_version in
+  let* tool = str_field json "tool" in
+  let* findings = need "findings" (member "findings" json) in
+  let* findings = as_arr "findings" findings in
+  let* count = int_field json "count" in
+  if not (String.equal tool "xqdb-lint") then
+    Error (Printf.sprintf "tool is %S, want \"xqdb-lint\"" tool)
+  else if count <> List.length findings then
+    Error (Printf.sprintf "count %d does not match %d finding(s)" count (List.length findings))
+  else
+    check_all
+      (fun f ->
+        let* _ = str_field f "rule" in
+        let* _ = str_field f "file" in
+        let* _ = int_field f "line" in
+        let* _ = int_field f "col" in
+        let* _ = str_field f "message" in
+        Ok ())
+      findings
 
 let parse_file path =
   let ic = open_in_bin path in

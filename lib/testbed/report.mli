@@ -4,26 +4,22 @@
     descent) parser — deliberately hand-rolled so the testbed carries no
     dependency beyond the standard library — plus serializers for the
     engine profiles and efficiency tables the benches emit as
-    [BENCH_*.json], and a sanity validator CI runs over those files.
+    [BENCH_*.json], and the validators CI runs over those files and over
+    the [xqdb-lint] JSON report.
 
-    Schema, stable across the [schema_version] field (version 2 added
-    the per-run planner counters [templates_built], [template_binds] and
-    [prepared_cache_hits]; version 3 the durability counters
-    [wal_appends], [wal_checkpoints] and [recovery_replayed]; version 4
-    the ["traffic"] kind; version 5 per-operator [batches] counts and
-    the fig7 [batch] comparison object; older files are still accepted):
+    One schema version is current (7) and only it validates: a schema
+    change bumps the version, and old versions are not kept — reports
+    are regenerated, never migrated.
 
     {v
-    { "schema_version": 5,
-      "kind": "fig7" | "ablations" | "milestones" | "templates",
+    { "schema_version": 7,
+      "kind": "fig7" | "ablations" | "milestones" | "templates"
+            | "structural",
       "budget": int,              (fig7 only)
+      "batch": <comparison>,      (fig7, optional; see batch_comparison)
       "results": [
         { "engine": str, "test": str, <extra fields, e.g. "scale": int>,
           "page_ios": int, "seconds": float, "censored": bool,
-          "templates_built": int, "template_binds": int,
-          "prepared_cache_hits": int,
-          "wal_appends": int, "wal_checkpoints": int,
-          "recovery_replayed": int,
           "profile": {
             "reads": int, "writes": int, "allocs": int,
             "pool": {"hits": int, "misses": int, "evictions": int,
@@ -35,21 +31,26 @@
 
     where each [<op>] is [{ "op": str, "args": str, "rows": int,
     "batches": int, "ios": int, "own_ios": int, "seconds": float,
-    "own_seconds": float, "inputs": [<op>, ...] }].
+    "own_seconds": float, "inputs": [<op>, ...] }].  Planner, cache and
+    WAL activity (e.g. [planner.templates_built], [wal.appends]) lives in
+    [profile.counters], which omits zero deltas.
 
     Crash-sweep reports ([kind = "crash"], {!crash_json}) use the same
     envelope with one flat result object per crash point:
     [{ "trial": int, "query": str, "events_total": int, "point": int,
     "torn": bool, "crashed": bool, "ok": bool, "detail": str }].
 
-    Traffic reports ([kind = "traffic"], {!traffic_json}, v4+) carry the
-    run aggregates ([sessions], [requests_per_session], [seed], [scale],
+    Traffic reports ([kind = "traffic"], {!traffic_json}) carry the run
+    aggregates ([sessions], [requests_per_session], [seed], [scale],
     [mode], [wall_seconds], [throughput], [mismatches], [p50_ms],
     [p95_ms], [p99_ms]) at the top level and one result object per
     session: [{ "session": int, "requests": int, "ok": int,
-    "budget_exceeded": int, "errors": int, "io_errors": int,
-    "bad_requests": int, "mismatches": int, "p50_ms": float,
-    "p95_ms": float, "p99_ms": float }]. *)
+    "budget_exceeded": int, "timeouts": int, "errors": int,
+    "io_errors": int, "bad_requests": int, "mismatches": int,
+    "p50_ms": float, "p95_ms": float, "p99_ms": float }].  Chaos reports
+    ([kind = "chaos"], {!chaos_json}) carry one such object per leg,
+    keyed by ["leg"] instead of ["session"] and adding ["unavailable"]
+    and ["untyped"]. *)
 
 type json =
   | Null
@@ -79,13 +80,12 @@ val profile_json : Xqdb_core.Engine.profile -> json
 val result_json :
   ?extra:(string * json) list ->
   engine:string -> test:string -> Xqdb_core.Engine.result -> json
-(** One engine × test measurement with its full profile and the
-    template counters pulled out of it; [extra] adds result-level fields
-    (e.g. [("scale", Int n)] for scaling sweeps). *)
+(** One engine × test measurement with its full profile; [extra] adds
+    result-level fields (e.g. [("scale", Int n)] for scaling sweeps). *)
 
 val cell_json : Efficiency.cell -> json
 
-(** The batch-vs-tuple comparison a fig7 report can carry (v5): the same
+(** The batch-vs-tuple comparison a fig7 report can carry: the same
     engines and workload measured at the configured batch size and again
     degraded to one-row batches through the identical operator code,
     with each run's engines ranked by total censored-capped page I/O. *)
@@ -114,8 +114,7 @@ val chaos_json : Chaos.report -> json
 (** A chaos run: [kind = "chaos"], one result per leg (fault-free
     baseline, then chaos).  The validator requires outcome counts that
     partition each leg's requests, zero untyped escapes, zero oracle
-    mismatches and ordered latency percentiles; chaos reports need
-    schema_version >= 6. *)
+    mismatches and ordered latency percentiles. *)
 
 val bench_json :
   kind:string ->
@@ -128,30 +127,24 @@ val bench_json :
 (* --- validation --------------------------------------------------------- *)
 
 val validate_bench : json -> (unit, string) result
-(** The sanity check CI applies to every [BENCH_*.json]: the envelope
-    fields are present and well-typed, every result carries the
-    engine/test/page_ios/seconds/censored quintet, and every embedded
-    profile reconciles ([reads + writes = operator_ios + other_ios],
-    operator trees internally consistent). *)
+(** The check CI applies to every [BENCH_*.json]: [schema_version] is
+    the current one, the envelope fields are present and well-typed,
+    every result is well-formed for its kind, and every embedded profile
+    reconciles ([reads + writes = operator_ios + other_ios], operator
+    trees internally consistent).  Each kind's gate then applies:
+    - ["templates"]: every (engine, test) pair shows the same
+      [planner.templates_built] across its results — compile-once under
+      data scaling;
+    - ["structural"]: every ["deep-*"] test has [m4] and [m4-nostruct]
+      measurements, with strictly less page I/O under [m4];
+    - ["fig7"] with a [batch] object: the batched run is strictly faster
+      than the tuple-at-a-time run, with the same engine rankings. *)
 
-val validate_constant_templates : json -> (unit, string) result
-(** The compile-once invariant: within one report, every (engine, test)
-    pair must show the same [templates_built] across all its results —
-    a scaling sweep whose template count grows with data size means
-    planning happens per outer tuple again.  Requires a v2 report. *)
-
-val validate_structural_gain : json -> (unit, string) result
-(** The structural-index payoff gate over a [BENCH_structural.json]
-    report: every test named ["deep-*"] must carry measurements for both
-    [m4] and [m4-nostruct], and the m4 page I/O must be strictly lower.
-    Errors when no deep tests are present at all. *)
-
-val validate_batch_gain : json -> (unit, string) result
-(** The vectorization payoff gate over a [BENCH_fig7.json] report: the
-    [batch] comparison object must be present, the batched run must be
-    strictly faster than the tuple-at-a-time run, and the engine
-    rankings of the two runs must agree.  Requires a v5 report with the
-    comparison recorded. *)
+val validate_lint : schema_version:int -> json -> (unit, string) result
+(** Validation of an [xqdb-lint] JSON report: [schema_version] equals
+    the given current lint version, [tool] is ["xqdb-lint"], [count]
+    matches the [findings] array, and every finding carries string
+    [rule]/[file]/[message] and integer [line]/[col]. *)
 
 val parse_file : string -> (json, string) result
 

@@ -66,6 +66,28 @@ let percentile sorted q =
   if n = 0 then 0.
   else sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
 
+(* Client sessions play N remote processes hammering the server, so each
+   gets its own domain — outside the engine's sanctioned parallelism
+   sites; a lone session stays on the calling domain. *)
+let run_sessions n f =
+  if n = 1 then [| f 0 |]
+  else Array.map Domain.join (Array.init n (fun k -> Domain.spawn (fun () -> f k)))
+
+(* The shared pool must be quiescent once every session has joined: zero
+   pins from anyone, every frame latch idle.  Checked unconditionally —
+   under the sanitizer a violation inside a run would already have
+   raised, but this also covers non-sanitizing runs. *)
+let assert_quiescent ~after pool =
+  (match Storage.Buffer_pool.pinned_pages pool with
+   | [] -> ()
+   | leaked ->
+     Storage.Xqdb_error.internal "%d page(s) still pinned after %s" (List.length leaked) after);
+  match Storage.Buffer_pool.latched_pages pool with
+  | [] -> ()
+  | leaked ->
+    Storage.Xqdb_error.internal "%d frame latch(es) still held after %s" (List.length leaked)
+      after
+
 (* Session [k]'s schedule under [seed]: request i runs mix entry
    [schedule.(i)].  Deterministic in (seed, k), independent of timing. *)
 let schedule ~seed ~requests ~mix_size k =
@@ -101,7 +123,7 @@ type outcome = {
   mism : int;
 }
 
-let run_session ~db ~caps ~sched ~mode ~oracle k =
+let run_session ~db ~caps ~sched ~mode ~oracle =
   let session =
     let max_page_ios, max_seconds = caps in
     Session.create ?max_page_ios ?max_seconds db
@@ -139,7 +161,6 @@ let run_session ~db ~caps ~sched ~mode ~oracle k =
       ()
     | Some _ | None -> incr mism
   done;
-  ignore k;
   { latencies; counts = (!ok, !budget, !timeout, !error, !io, !bad); mism = !mism }
 
 let session_report ~k (o : outcome) =
@@ -182,30 +203,11 @@ let run ?(mode = Closed) ?max_page_ios ?max_seconds ~sessions ~requests ~seed ~s
   let scheds = Array.init sessions (schedule ~seed ~requests ~mix_size) in
   let start = Storage.Monotonic.now () in
   let outcomes =
-    if sessions = 1 then
-      [| run_session ~db ~caps ~sched:scheds.(0) ~mode ~oracle 0 |]
-    else
-      Array.map Domain.join
-        (Array.init sessions (fun k ->
-             Domain.spawn (fun () ->
-                 run_session ~db ~caps ~sched:scheds.(k) ~mode ~oracle k)))
+    run_sessions sessions (fun k -> run_session ~db ~caps ~sched:scheds.(k) ~mode ~oracle)
   in
   let wall_seconds = Storage.Monotonic.elapsed_since start in
-  (* The shared pool must end quiescent: zero pins from anyone, every
-     frame latch idle.  Run unconditionally — under the sanitizer a
-     violation inside a run would already have raised, but the global
-     check also covers non-sanitizing runs. *)
-  let pool = Engine.pool (Database.engine db ~name:doc_name) in
-  (match Storage.Buffer_pool.pinned_pages pool with
-   | [] -> ()
-   | leaked ->
-     Storage.Xqdb_error.internal "Traffic: %d page(s) still pinned after all sessions joined"
-       (List.length leaked));
-  (match Storage.Buffer_pool.latched_pages pool with
-   | [] -> ()
-   | leaked ->
-     Storage.Xqdb_error.internal "Traffic: %d frame latch(es) still held after all sessions joined"
-       (List.length leaked));
+  assert_quiescent ~after:"all traffic sessions joined"
+    (Engine.pool (Database.engine db ~name:doc_name));
   let per_session =
     List.mapi (fun k o -> session_report ~k o) (Array.to_list outcomes)
   in

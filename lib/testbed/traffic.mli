@@ -52,6 +52,24 @@ type report = {
   per_session : session_report list;
 }
 
+val doc_name : string
+(** The name the shared DBLP document is loaded under. *)
+
+val mix : unit -> (string * string) list
+(** The query mix sessions sample: the five efficiency queries plus the
+    Section-2 example, as (name, text). *)
+
+val percentile : float array -> float -> float
+(** [percentile sorted q] for [q] in [0, 1]; 0 on an empty array. *)
+
+val run_sessions : int -> (int -> 'a) -> 'a array
+(** [run_sessions n f] runs [f 0 .. f (n - 1)] on one domain each and
+    joins them all; [n = 1] runs on the calling domain. *)
+
+val assert_quiescent : after:string -> Xqdb_storage.Buffer_pool.t -> unit
+(** @raise Xqdb_storage.Xqdb_error.Internal when a page is still pinned
+    or a frame latch still held; [after] names the point checked. *)
+
 val run :
   ?mode:mode ->
   ?max_page_ios:int ->

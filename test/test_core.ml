@@ -110,7 +110,6 @@ let naive_rewrite_agrees =
       let naive_config =
         { Config.m4 with
           Config.name = "m4-naive";
-          rewrite = Xqdb_tpm.Rewrite.naive;
           planner = { Config.m4.Config.planner with Xqdb_optimizer.Planner.carry_out = false } }
       in
       let outcome config =

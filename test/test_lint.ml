@@ -302,43 +302,6 @@ let test_render () =
   Alcotest.(check bool) "json escapes quotes" true (contains_in quoted {|a\"b.ml|});
   Alcotest.(check bool) "json escapes newline" true (contains_in quoted {|\n|})
 
-(* --- report validation (check-lint) ---------------------------------------- *)
-
-let test_validate_json () =
-  let f =
-    L.Finding.v ~rule:"L7" ~file:"lib/storage/seeded.ml" ~line:3 ~col:4
-      "top-level ref `shared`"
-  in
-  let ok = function Ok () -> true | Error _ -> false in
-  Alcotest.(check bool) "rendered report validates" true
-    (ok (L.Driver.validate_json (L.Driver.render_json [ f ])));
-  Alcotest.(check bool) "empty report validates" true
-    (ok (L.Driver.validate_json (L.Driver.render_json [])));
-  Alcotest.(check bool) "garbage rejected" false (ok (L.Driver.validate_json "not json"));
-  Alcotest.(check bool) "truncated rejected" false
-    (ok (L.Driver.validate_json {|{"schema_version": 2,|}));
-  Alcotest.(check bool) "future schema rejected" false
-    (ok
-       (L.Driver.validate_json
-          {|{"schema_version": 99, "tool": "xqdb-lint", "count": 0, "findings": []}|}));
-  Alcotest.(check bool) "v1 still accepted" true
-    (ok
-       (L.Driver.validate_json
-          {|{"schema_version": 1, "tool": "xqdb-lint", "count": 0, "findings": []}|}));
-  Alcotest.(check bool) "wrong tool rejected" false
-    (ok
-       (L.Driver.validate_json
-          {|{"schema_version": 2, "tool": "other", "count": 0, "findings": []}|}));
-  Alcotest.(check bool) "count mismatch rejected" false
-    (ok
-       (L.Driver.validate_json
-          {|{"schema_version": 2, "tool": "xqdb-lint", "count": 2, "findings": []}|}));
-  Alcotest.(check bool) "incomplete finding rejected" false
-    (ok
-       (L.Driver.validate_json
-          {|{"schema_version": 2, "tool": "xqdb-lint", "count": 1,
-             "findings": [{"rule":"L7","file":"x.ml","line":3}]}|}))
-
 (* --- the repo itself is clean --------------------------------------------- *)
 
 (* The acceptance criterion, as a test: running the real driver over the
@@ -382,5 +345,4 @@ let () =
         [ Alcotest.test_case "suppression is checked both ways" `Quick test_allowlist ] );
       ( "output",
         [ Alcotest.test_case "text and json anchors" `Quick test_render;
-          Alcotest.test_case "report validation" `Quick test_validate_json;
           Alcotest.test_case "repo is clean" `Quick test_repo_clean ] ) ]

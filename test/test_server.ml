@@ -84,7 +84,7 @@ let u32be n =
   Bytes.set_int32_be b 0 (Int32.of_int n);
   Bytes.to_string b
 
-let header ?(magic = "XQDB") ?(version = 1) ?(kind = 1) len =
+let header ?(magic = "XQDB") ?(version = Wire.version) ?(kind = 1) len =
   magic ^ String.make 1 (Char.chr version) ^ String.make 1 (Char.chr kind) ^ u32be len
 
 let test_hostile_frames () =
@@ -92,6 +92,7 @@ let test_hostile_frames () =
   expect_error "partial header" Wire.Truncated "XQD";
   expect_error "garbage magic" Wire.Bad_magic (header ~magic:"EVIL" 0);
   expect_error "future version" (Wire.Bad_version 9) (header ~version:9 0);
+  expect_error "version 0" (Wire.Bad_version 0) (header ~version:0 0);
   expect_error "unknown kind" (Wire.Bad_kind 7) (header ~kind:7 0);
   expect_error "oversize length" (Wire.Oversize (Wire.max_payload + 1))
     (header (Wire.max_payload + 1));
@@ -105,54 +106,12 @@ let test_hostile_frames () =
   (* a response frame where a request is expected *)
   let resp = Wire.encode_response (Wire.error_response Wire.Ok "x") in
   expect_error "response in request position" (Wire.Bad_kind 2) (Bytes.to_string resp);
-  (* a v2 frame whose payload is shorter than v2's (larger) fixed fields *)
-  expect_error "v2 payload shorter than fixed fields" (Wire.Malformed "")
-    (header ~version:2 17 ^ String.make 17 '\000')
+  (* a payload long enough for a frame without the deadline field *)
+  expect_error "payload one field short" (Wire.Malformed "")
+    (header 17 ^ String.make 17 '\000')
 
-(* --- version negotiation --------------------------------------------------- *)
-
-(* A v1 client's frames must keep decoding: the request has no deadline
-   field, and a v1-encoded response downgrades the statuses v1 never
-   knew. *)
-let test_v1_frames_still_speak () =
-  let req =
-    { Wire.doc = "journal"; query_text = "/journal"; max_page_ios = Some 9;
-      max_seconds = Some 2.0; deadline = Some 1.0 }
-  in
-  (match Wire.read_request ~read:(read_of_bytes (Wire.encode_request ~version:1 req)) with
-   | Result.Error e -> Alcotest.fail (Wire.error_to_string e)
-   | Result.Ok got ->
-     Alcotest.(check string) "doc survives v1" req.Wire.doc got.Wire.doc;
-     Alcotest.(check (option int)) "ios cap survives v1" req.Wire.max_page_ios
-       got.Wire.max_page_ios;
-     Alcotest.(check (option (float 0.))) "v1 has no deadline field" None
-       got.Wire.deadline);
-  (* read_incoming tags the frame with the version it spoke. *)
-  (match Wire.read_incoming ~read:(read_of_bytes (Wire.encode_request ~version:1 req)) with
-   | Result.Ok (Wire.Incoming_request (1, _)) -> ()
-   | Result.Ok _ -> Alcotest.fail "v1 frame tagged with the wrong version"
-   | Result.Error e -> Alcotest.fail (Wire.error_to_string e));
-  (* Timeout downgrades to Budget_exceeded on the v1 wire; retry_after
-     is dropped. *)
-  let resp = Wire.error_response ~retry_after:0.5 Wire.Timeout "too late" in
-  (match Wire.read_response ~read:(read_of_bytes (Wire.encode_response ~version:1 resp)) with
-   | Result.Error e -> Alcotest.fail (Wire.error_to_string e)
-   | Result.Ok got ->
-     Alcotest.(check bool) "Timeout downgrades for v1" true
-       (got.Wire.status = Wire.Budget_exceeded);
-     Alcotest.(check (option (float 0.))) "retry_after dropped for v1" None
-       got.Wire.retry_after);
-  (* Unsupported versions are rejected at the encoder... *)
-  (match Wire.encode_request ~version:99 req with
-   | exception Invalid_argument _ -> ()
-   | _ -> Alcotest.fail "encoding an unsupported version should raise");
-  (* ...and at the decoder, as a typed error. *)
-  match Wire.read_request ~read:(Wire.string_reader (header ~version:0 0)) with
-  | Result.Error (Wire.Bad_version 0) -> ()
-  | _ -> Alcotest.fail "version 0 should be Bad_version"
-
-(* Decoding is total: no byte string makes the reader raise — under
-   either accepted header version. *)
+(* Decoding is total: no byte string makes the reader raise — under the
+   current header version or a rejected one. *)
 let decode_never_raises =
   QCheck2.Test.make ~name:"wire decoding is total" ~count:500
     G.(pair (int_range 0 3) (string_size ~gen:(char_range '\000' '\255') (int_bound 64)))
@@ -161,8 +120,8 @@ let decode_never_raises =
       (match Wire.read_response ~read:(Wire.string_reader s) with
       | Result.Ok _ | Result.Error _ -> ());
       (* And with a valid header stapled on — any version byte 0-3,
-         spanning both accepted versions and both rejected sides — the
-         payload decoders too. *)
+         spanning the current version and rejected ones on both sides —
+         the payload decoders too. *)
       (match read_req_of (header ~version:v (String.length s) ^ s) with
       | Result.Ok _ | Result.Error _ -> ());
       (match Wire.read_incoming
@@ -311,6 +270,19 @@ let test_connection_loop () =
     Alcotest.(check bool) "bad magic answered" true (only.Wire.status = Wire.Bad_request)
   | rs -> Alcotest.fail (Printf.sprintf "expected 1 response, got %d" (List.length rs)))
 
+(* One version is spoken: a well-formed request under the version-1
+   header decodes to [Bad_version 1], and the connection loop answers it
+   with exactly one [Bad_request] instead of serving it. *)
+let test_stale_version_rejected () =
+  let frame = Wire.encode_request (plain_req "journal" "/journal") in
+  Bytes.set_uint8 frame 4 1;
+  let frame = Bytes.to_string frame in
+  expect_error "v1 header" (Wire.Bad_version 1) frame;
+  match drive_connection (mkdb ()) (frame ^ frame) with
+  | [ only ] ->
+    Alcotest.(check bool) "answered Bad_request" true (only.Wire.status = Wire.Bad_request)
+  | rs -> Alcotest.fail (Printf.sprintf "expected 1 response, got %d" (List.length rs))
+
 (* A shutdown frame fires the drain hook; a draining server finishes the
    in-flight request and then stops reading. *)
 let test_shutdown_frame_and_drain () =
@@ -440,7 +412,7 @@ let () =
         [ Alcotest.test_case "request round trip" `Quick test_request_roundtrip;
           Alcotest.test_case "response round trip" `Quick test_response_roundtrip;
           Alcotest.test_case "hostile frames" `Quick test_hostile_frames;
-          Alcotest.test_case "v1 frames still speak" `Quick test_v1_frames_still_speak;
+          Alcotest.test_case "stale version is rejected" `Quick test_stale_version_rejected;
           prop decode_never_raises ] );
       ( "sessions",
         [ Alcotest.test_case "ok path" `Quick test_session_ok;

@@ -207,7 +207,119 @@ let test_report_validates () =
    | Error _ -> ());
   (match R.validate_bench (R.Obj [("schema_version", R.Int 999)]) with
    | Ok () -> Alcotest.fail "wrong schema_version accepted"
-   | Error _ -> ())
+   | Error _ -> ());
+  (* Only the current schema validates: the previous version is refused
+     even when the rest of the report is well-formed. *)
+  let v6 =
+    match report with
+    | R.Obj fields ->
+      R.Obj
+        (List.map
+           (function
+             | ("schema_version", _) -> ("schema_version", R.Int 6)
+             | kv -> kv)
+           fields)
+    | v -> v
+  in
+  match R.validate_bench v6 with
+  | Ok () -> Alcotest.fail "schema_version 6 accepted"
+  | Error _ -> ()
+
+(* Each report kind's gate, on a synthetic report that passes it and one
+   mutation that must fail it. *)
+let synthetic_result ?(extra = []) ~engine ~test ~page_ios ~templates () =
+  R.Obj
+    ([ ("engine", R.Str engine); ("test", R.Str test) ]
+    @ extra
+    @ [ ("page_ios", R.Int page_ios);
+        ("seconds", R.Float 0.01);
+        ("censored", R.Bool false);
+        ( "profile",
+          R.Obj
+            [ ("reads", R.Int page_ios);
+              ("writes", R.Int 0);
+              ("allocs", R.Int 0);
+              ("pool", R.Obj [("hits", R.Int 0); ("misses", R.Int page_ios)]);
+              ("counters", R.Obj [("planner.templates_built", R.Int templates)]);
+              ("operator_ios", R.Int 0);
+              ("other_ios", R.Int page_ios);
+              ("operators", R.Arr []) ] ) ])
+
+let check_gate name ~pass ~fail =
+  (match R.validate_bench pass with
+   | Ok () -> ()
+   | Error msg -> Alcotest.failf "%s: passing report rejected: %s" name msg);
+  match R.validate_bench fail with
+  | Ok () -> Alcotest.failf "%s: failing mutation accepted" name
+  | Error _ -> ()
+
+let test_report_kind_gates () =
+  let templates built =
+    R.bench_json ~kind:"templates" []
+      ~results:
+        (List.map2
+           (fun scale templates ->
+             synthetic_result
+               ~extra:[("scale", R.Int scale)]
+               ~engine:"m4" ~test:"nested-constructor" ~page_ios:scale ~templates ())
+           [60; 180] built)
+  in
+  check_gate "templates" ~pass:(templates [2; 2]) ~fail:(templates [2; 3]);
+  let structural m4_ios =
+    R.bench_json ~kind:"structural" []
+      ~results:
+        [ synthetic_result ~engine:"m4" ~test:"deep-pair" ~page_ios:m4_ios ~templates:1 ();
+          synthetic_result ~engine:"m4-nostruct" ~test:"deep-pair" ~page_ios:20 ~templates:1 ();
+          synthetic_result ~engine:"m4" ~test:"shallow-pair" ~page_ios:30 ~templates:1 ();
+          synthetic_result ~engine:"m4-nostruct" ~test:"shallow-pair" ~page_ios:5 ~templates:1 ()
+        ]
+  in
+  check_gate "structural" ~pass:(structural 10) ~fail:(structural 20);
+  let fig7 batch_seconds =
+    R.bench_json ~kind:"fig7"
+      [ ("budget", R.Int 60_000);
+        ( "batch",
+          R.Obj
+            [ ("batch_size", R.Int 256);
+              ("batch_seconds", R.Float batch_seconds);
+              ("tuple_seconds", R.Float 2.0);
+              ("batch_ranking", R.Arr [R.Str "engine-1"; R.Str "engine-2"]);
+              ("tuple_ranking", R.Arr [R.Str "engine-1"; R.Str "engine-2"]) ] ) ]
+      ~results:[synthetic_result ~engine:"engine-1" ~test:"test1" ~page_ios:7 ~templates:1 ()]
+  in
+  check_gate "fig7 batch" ~pass:(fig7 1.0) ~fail:(fig7 3.0)
+
+(* The lint report check-lint validates: what the lint driver renders
+   passes; malformed or foreign reports do not. *)
+let test_lint_report_validation () =
+  let module L = Xqdb_lint in
+  let validate text =
+    match R.parse text with
+    | Error _ -> false
+    | Ok json ->
+      Result.is_ok (R.validate_lint ~schema_version:L.Driver.schema_version json)
+  in
+  let f =
+    L.Finding.v ~rule:"L7" ~file:"lib/storage/seeded.ml" ~line:3 ~col:4
+      "top-level ref `shared`"
+  in
+  Alcotest.(check bool) "rendered report validates" true
+    (validate (L.Driver.render_json [ f ]));
+  Alcotest.(check bool) "empty report validates" true (validate (L.Driver.render_json []));
+  Alcotest.(check bool) "garbage rejected" false (validate "not json");
+  Alcotest.(check bool) "truncated rejected" false (validate {|{"schema_version": 2,|});
+  Alcotest.(check bool) "future schema rejected" false
+    (validate {|{"schema_version": 99, "tool": "xqdb-lint", "count": 0, "findings": []}|});
+  Alcotest.(check bool) "v1 rejected" false
+    (validate {|{"schema_version": 1, "tool": "xqdb-lint", "count": 0, "findings": []}|});
+  Alcotest.(check bool) "wrong tool rejected" false
+    (validate {|{"schema_version": 2, "tool": "other", "count": 0, "findings": []}|});
+  Alcotest.(check bool) "count mismatch rejected" false
+    (validate {|{"schema_version": 2, "tool": "xqdb-lint", "count": 2, "findings": []}|});
+  Alcotest.(check bool) "incomplete finding rejected" false
+    (validate
+       {|{"schema_version": 2, "tool": "xqdb-lint", "count": 1,
+          "findings": [{"rule":"L7","file":"x.ml","line":3}]}|})
 
 let test_report_file_io () =
   let file = Filename.temp_file "xqdb_bench" ".json" in
@@ -282,42 +394,6 @@ let test_crash_report_json () =
    | Ok () -> Alcotest.fail "out-of-range crash point accepted"
    | Error _ -> ())
 
-(* Old report files must keep validating: a v2 writer knows nothing of
-   the durability counters, a v3 writer must emit them. *)
-let test_report_version_gating () =
-  let table =
-    T.Efficiency.run ~configs:[Config.engine1] ~scale:120 ~budget:40_000
-      ~budgets:[] ~seconds_cap:30.0 ()
-  in
-  let report = R.fig7_json table in
-  let durability = ["wal_appends"; "wal_checkpoints"; "recovery_replayed"] in
-  let rec rewrite f = function
-    | R.Obj fields ->
-      R.Obj
-        (List.filter_map
-           (fun (k, v) -> Option.map (fun v' -> (k, v')) (f k (rewrite f v)))
-           fields)
-    | R.Arr xs -> R.Arr (List.map (rewrite f) xs)
-    | v -> v
-  in
-  let v2 =
-    rewrite
-      (fun k v ->
-        if List.mem k durability then None
-        else if String.equal k "schema_version" then Some (R.Int 2)
-        else Some v)
-      report
-  in
-  (match R.validate_bench v2 with
-   | Ok () -> ()
-   | Error msg -> Alcotest.failf "v2 report without durability counters rejected: %s" msg);
-  let missing =
-    rewrite (fun k v -> if String.equal k "wal_appends" then None else Some v) report
-  in
-  (match R.validate_bench missing with
-   | Ok () -> Alcotest.fail "v3 report without durability counters accepted"
-   | Error _ -> ())
-
 (* A small closed-loop traffic run: serializes, re-parses, validates —
    and a report with a faked mismatch or disordered percentiles must be
    rejected (the validator is the acceptance gate CI applies). *)
@@ -362,19 +438,11 @@ let test_traffic_report () =
   in
   (match R.validate_bench disordered with
    | Ok () -> Alcotest.fail "disordered percentiles accepted"
-   | Error _ -> ());
-  (* The traffic kind needs schema v4: an older version must not claim it. *)
-  let downgraded =
-    rewrite (fun k v -> if String.equal k "schema_version" then R.Int 3 else v) j
-  in
-  (match R.validate_bench downgraded with
-   | Ok () -> Alcotest.fail "v3 traffic report accepted"
    | Error _ -> ())
 
 (* A small chaos run end to end: both profiles must come back with no
    violations, and the report must serialize, re-parse and validate —
-   with the validator rejecting faked untyped escapes and pre-v6
-   envelopes claiming the chaos kind. *)
+   with the validator rejecting faked untyped escapes. *)
 let test_chaos_report () =
   let report = T.Chaos.run ~sessions:1 ~requests:12 ~seed:11 ~scale:60 () in
   (match report.T.Chaos.violations with
@@ -400,13 +468,6 @@ let test_chaos_report () =
   in
   (match R.validate_bench escaped with
    | Ok () -> Alcotest.fail "untyped escapes accepted"
-   | Error _ -> ());
-  (* The chaos kind needs schema v6: an older version must not claim it. *)
-  let downgraded =
-    rewrite (fun k v -> if String.equal k "schema_version" then R.Int 5 else v) j
-  in
-  (match R.validate_bench downgraded with
-   | Ok () -> Alcotest.fail "v5 chaos report accepted"
    | Error _ -> ());
   let hard = T.Chaos.run ~profile:T.Chaos.Hard ~sessions:1 ~requests:12 ~seed:11 ~scale:60 () in
   (match hard.T.Chaos.violations with
@@ -489,7 +550,8 @@ let () =
           Alcotest.test_case "member" `Quick test_report_member;
           Alcotest.test_case "validator" `Slow test_report_validates;
           Alcotest.test_case "file io" `Slow test_report_file_io;
-          Alcotest.test_case "version gating" `Slow test_report_version_gating ] );
+          Alcotest.test_case "kind gates" `Quick test_report_kind_gates;
+          Alcotest.test_case "lint report validation" `Quick test_lint_report_validation ] );
       ( "traffic",
         [ Alcotest.test_case "report round trip and gates" `Slow test_traffic_report ] );
       ( "chaos",
