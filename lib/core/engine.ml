@@ -205,8 +205,7 @@ let as_int = function
   | Tuple.I v -> v
   | Tuple.S _ -> Storage.Xqdb_error.internal "Engine: non-integer binding column"
 
-let out_of t budget nin =
-  ignore budget;
+let out_of t nin =
   match Store.fetch t.store nin with
   | Some tuple -> tuple.Xasr.nout
   | None -> Storage.Xqdb_error.corrupt "Engine: dangling binding"
@@ -299,7 +298,7 @@ let rec exec t budget (env : env) (phys : Plan_ir.phys) : Tree.forest =
                      let nin = as_int b.Tuple.cols.(i * width).(row) in
                      let nout =
                        if carry then as_int b.Tuple.cols.((i * width) + 1).(row)
-                       else out_of t budget nin
+                       else out_of t nin
                      in
                      [(bind.A.var, (nin, nout))])
                    site.Plan_ir.bindings)
@@ -337,7 +336,6 @@ type profile = {
   reads : int;
   writes : int;
   allocs : int;
-  pool : Storage.Buffer_pool.stats;
   counters : Storage.Metrics.snapshot;
   operators : op_profile list;
   operator_ios : int;
@@ -374,60 +372,55 @@ let eval t query =
   let operators = ref (fun () -> []) in
   run_form t None operators (compile_internal t query)
 
-let pool_delta (a : Storage.Buffer_pool.stats) (b : Storage.Buffer_pool.stats) :
-    Storage.Buffer_pool.stats =
-  { hits = b.hits - a.hits;
-    misses = b.misses - a.misses;
-    evictions = b.evictions - a.evictions;
-    retries = b.retries - a.retries }
-
-let measured t ~operators thunk =
-  let before = Storage.Disk.counters t.disk in
-  let pool_before = Storage.Buffer_pool.stats t.pool in
-  let metrics_before = Storage.Metrics.snapshot () in
+(* The run's one accounting source is its budget's Metrics scope,
+   installed around compile, execute and serialize: the page I/O count,
+   the budget checks, the operator windows and the profile's counters
+   all read it, so a concurrent session's work never lands in this
+   run's numbers.  [exec] gets the budget and a cell for the operator
+   profile producer. *)
+let measured ?max_page_ios ?max_seconds ?deadline t exec =
+  let budget = Storage.Budget.create ?max_page_ios ?max_seconds ?deadline () in
+  let operators = ref (fun () -> []) in
   (* Callers may hold pins of their own across a run; the run is only
      required to release everything *it* acquires. *)
   let pin_base = Storage.Buffer_pool.pin_baseline t.pool in
-  (* Wall clock: [Sys.time] is process CPU time, which under concurrent
-     sessions charges every session for every other session's work and
-     misses I/O and latch wait entirely. *)
-  let start = Storage.Monotonic.now () in
+  let scope = Storage.Budget.scope budget in
   let status, output =
-    match thunk () with
-    | forest -> (Ok, Xml_print.forest_to_string forest)
-    | exception Storage.Budget.Exhausted msg -> (Budget_exceeded msg, "")
-    | exception Storage.Budget.Deadline_exceeded msg -> (Timeout msg, "")
-    | exception Xq_eval.Type_error msg -> (Error msg, "")
-    | exception Storage.Disk.Disk_error msg -> (Io_error msg, "")
-    (* Resource conditions surface as statuses too: a query against a
-       fully-pinned pool or an overfull page must censor, not crash. *)
-    | exception Storage.Buffer_pool.Pool_exhausted msg -> (Io_error msg, "")
-    | exception Storage.Page.Page_full msg -> (Io_error msg, "")
-    (* Typed data errors (dangling index entries, missing catalog keys)
-       censor like disk faults; malformed input surfaces as Error.
-       Xqdb_error.Internal is deliberately NOT caught — an engine bug
-       must crash loudly, not be censored. *)
-    | exception Storage.Xqdb_error.Corrupt msg -> (Io_error ("corrupt: " ^ msg), "")
-    | exception Shredder.Shred_error msg -> (Error msg, "")
+    Storage.Metrics.with_scope scope (fun () ->
+        match exec (Some budget) operators with
+        | forest -> (Ok, Xml_print.forest_to_string forest)
+        | exception Storage.Budget.Exhausted msg -> (Budget_exceeded msg, "")
+        | exception Storage.Budget.Deadline_exceeded msg -> (Timeout msg, "")
+        | exception Xq_eval.Type_error msg -> (Error msg, "")
+        | exception Storage.Disk.Disk_error msg -> (Io_error msg, "")
+        (* Resource conditions surface as statuses too: a query against
+           a fully-pinned pool or an overfull page must censor, not
+           crash. *)
+        | exception Storage.Buffer_pool.Pool_exhausted msg -> (Io_error msg, "")
+        | exception Storage.Page.Page_full msg -> (Io_error msg, "")
+        (* Typed data errors (dangling index entries, missing catalog
+           keys) censor like disk faults; malformed input surfaces as
+           Error.  Xqdb_error.Internal is deliberately NOT caught — an
+           engine bug must crash loudly, not be censored. *)
+        | exception Storage.Xqdb_error.Corrupt msg -> (Io_error ("corrupt: " ^ msg), "")
+        | exception Shredder.Shred_error msg -> (Error msg, ""))
   in
   (* The pin-sanitizer checkpoint: whatever happened above — completion,
      budget exhaustion, a disk fault mid-scan — every pin the run
      acquired must be released by now. *)
   if Storage.Buffer_pool.sanitizing t.pool then
     Storage.Buffer_pool.assert_balanced ~where:"Engine.run" ~baseline:pin_base t.pool;
-  let elapsed = Storage.Monotonic.elapsed_since start in
-  let after = Storage.Disk.counters t.disk in
-  let reads = after.Storage.Disk.reads - before.Storage.Disk.reads in
-  let writes = after.Storage.Disk.writes - before.Storage.Disk.writes in
-  let allocs = after.Storage.Disk.allocs - before.Storage.Disk.allocs in
+  let elapsed = Storage.Budget.elapsed budget in
+  let counters = Storage.Metrics.scope_snapshot scope in
+  let reads = Storage.Metrics.get counters "disk.reads" in
+  let writes = Storage.Metrics.get counters "disk.writes" in
   let operators = !operators () in
   let operator_ios = List.fold_left (fun acc (p : op_profile) -> acc + p.ios) 0 operators in
   let profile =
     { reads;
       writes;
-      allocs;
-      pool = pool_delta pool_before (Storage.Buffer_pool.stats t.pool);
-      counters = Storage.Metrics.diff (Storage.Metrics.snapshot ()) metrics_before;
+      allocs = Storage.Metrics.get counters "disk.allocs";
+      counters;
       operators;
       operator_ios;
       other_ios = reads + writes - operator_ios }
@@ -436,18 +429,15 @@ let measured t ~operators thunk =
 
 let run ?max_page_ios ?max_seconds ?deadline t query =
   Xq_check.check_exn query;
-  let budget = Storage.Budget.create ?max_page_ios ?max_seconds ?deadline t.disk in
-  let operators = ref (fun () -> []) in
   (* Compiling inside the measured window keeps template-construction
      I/O (cursors opened while building plans) in the run's accounting;
      a cache hit makes it free, which is the point. *)
-  measured t ~operators (fun () ->
-    run_form t (Some budget) operators (compile_internal t query))
+  measured ?max_page_ios ?max_seconds ?deadline t (fun budget operators ->
+      run_form t budget operators (compile_internal t query))
 
 let run_prepared ?max_page_ios ?max_seconds ?deadline t prepared =
-  let budget = Storage.Budget.create ?max_page_ios ?max_seconds ?deadline t.disk in
-  let operators = ref (fun () -> []) in
-  measured t ~operators (fun () -> run_form t (Some budget) operators prepared)
+  measured ?max_page_ios ?max_seconds ?deadline t (fun budget operators ->
+      run_form t budget operators prepared)
 
 let execute = run_prepared
 

@@ -96,9 +96,10 @@ type profile = {
   reads : int;
   writes : int;
   allocs : int;
-  pool : Xqdb_storage.Buffer_pool.stats;  (** delta over the run *)
   counters : Xqdb_storage.Metrics.snapshot;
-      (** storage-structure counter deltas over the run *)
+      (** the counters charged to the run's scope, non-zero entries
+          sorted by name — this run's work only, even under concurrent
+          sessions *)
   operators : op_profile list;
       (** one aggregated operator tree per relfor compile site, in plan
           order; partial (but present) on censored runs *)
@@ -112,8 +113,8 @@ type profile = {
 type result = {
   output : string;  (** canonical serialization; [""] if not [Ok] *)
   status : status;
-  elapsed : float;  (** wall-clock seconds *)
-  page_ios : int;  (** disk reads + writes during the run *)
+  elapsed : float;  (** elapsed seconds (monotonic clock) *)
+  page_ios : int;  (** disk reads + writes charged to the run's scope *)
   profile : profile;  (** where those I/Os and seconds went *)
 }
 

@@ -60,46 +60,41 @@ type t = {
   info : info;
   stats : stats;
   kids : t list;
-  ios_now : unit -> int;  (* disk I/O counter this operator is attributed against *)
   param_dep : bool;  (* does this subtree's output depend on parameter slots? *)
   clear : unit -> unit;  (* drop caches invalidated by a rebind (no recursion) *)
 }
 
 (* Every constructor goes through [make], which wraps [next_batch] and
    [reset] so the operator's stats accumulate rows and batches produced
-   plus the page I/Os and CPU time spent inside its call windows.  The
+   plus the page I/Os (charged to the installed Metrics scope, i.e. the
+   running request) and time spent inside its call windows.  The
    measurements are inclusive — a child only ever runs inside its
    parent's [next_batch] or [reset] — so the per-operator (exclusive)
    share is recovered in {!profile} by subtracting the children's
    inclusive totals.  Measuring per batch rather than per tuple is the
-   vectorization payoff on the hot path: two I/O-counter reads and two
-   clock reads per batch instead of per row.
+   vectorization payoff on the hot path: two scope reads and two clock
+   reads per batch instead of per row.
 
    [param_dep] is the operator's own dependence on parameter slots; the
    stored flag is the subtree's (own or any kid's).  [clear] is the
    constructor's cache-invalidation hook — constructors that cache a
    parameter-independent subtree deliberately pass [ignore] so the cache
    survives rebinds (that survival is the point of templates). *)
-let make ~schema ~info ?(kids = []) ?(param_dep = false) ?(clear = ignore) ~ios_now
-    ~next_batch ~reset () =
+let make ~schema ~info ?(kids = []) ?(param_dep = false) ?(clear = ignore) ~next_batch
+    ~reset () =
   let param_dep = param_dep || List.exists (fun k -> k.param_dep) kids in
   let stats = { rows = 0; batches = 0; ios = 0; seconds = 0. } in
-  (* Wall clock (not [Sys.time], which is process CPU time): operator
-     profiles must attribute I/O wait to the operator that paid it, and
-     under concurrent sessions CPU time would charge every session for
-     every other session's work. *)
+  (* Elapsed time, not process CPU time: operator profiles must
+     attribute I/O wait to the operator that paid it, and under
+     concurrent sessions CPU time would charge every session for every
+     other session's work. *)
   let measured f () =
-    let io0 = ios_now () in
+    let scope = Xqdb_storage.Metrics.current () in
+    let io0 = Xqdb_storage.Disk.scope_ios scope in
     let t0 = Xqdb_storage.Monotonic.now () in
-    match f () with
-    | result ->
-      stats.ios <- stats.ios + (ios_now () - io0);
-      stats.seconds <- stats.seconds +. Xqdb_storage.Monotonic.elapsed_since t0;
-      result
-    | exception e ->
-      stats.ios <- stats.ios + (ios_now () - io0);
-      stats.seconds <- stats.seconds +. Xqdb_storage.Monotonic.elapsed_since t0;
-      raise e
+    Fun.protect f ~finally:(fun () ->
+        stats.ios <- stats.ios + (Xqdb_storage.Disk.scope_ios scope - io0);
+        stats.seconds <- stats.seconds +. Xqdb_storage.Monotonic.elapsed_since t0)
   in
   let next_batch =
     let inner = measured next_batch in
@@ -112,8 +107,7 @@ let make ~schema ~info ?(kids = []) ?(param_dep = false) ?(clear = ignore) ~ios_
        | None -> ());
       result
   in
-  { schema; next_batch; reset = measured reset; info; stats; kids; ios_now; param_dep;
-    clear }
+  { schema; next_batch; reset = measured reset; info; stats; kids; param_dep; clear }
 
 let next_batch t = t.next_batch ()
 
@@ -136,10 +130,6 @@ let rec zero_stats t =
   t.stats.ios <- 0;
   t.stats.seconds <- 0.;
   List.iter zero_stats t.kids
-
-let ctx_ios ctx =
-  let disk = Xqdb_storage.Buffer_pool.disk ctx.pool in
-  fun () -> Xqdb_storage.Disk.total_ios disk
 
 type profile = {
   op : string;
@@ -289,9 +279,9 @@ let preds_detail preds =
 
 (* --- access paths ------------------------------------------------------ *)
 
-let cursor_op ~schema ~info ~param_dep ~ios_now ~make_cursor =
+let cursor_op ~schema ~info ~param_dep ~make_cursor =
   let cursor = ref (make_cursor ()) in
-  make ~schema ~info ~param_dep ~ios_now
+  make ~schema ~info ~param_dep
     ~next_batch:(fun () -> !cursor ())
     ~reset:(fun () -> cursor := make_cursor ())
     ()
@@ -339,8 +329,7 @@ let xasr_page_scan ctx ~schema ~preds ~info ~make_pages =
       done;
       if b.Tuple.len = 0 then None else Some b
   in
-  cursor_op ~schema ~param_dep:(preds_param_dep preds) ~ios_now:(ctx_ios ctx) ~info
-    ~make_cursor
+  cursor_op ~schema ~param_dep:(preds_param_dep preds) ~info ~make_cursor
 
 let full_scan ctx alias ~preds =
   xasr_page_scan ctx ~schema:(Tuple.xasr_schema alias) ~preds
@@ -395,7 +384,7 @@ let label_scan ctx alias ~ntype ~value ~preds =
       done;
       if b.Tuple.len = 0 then None else Some b
   in
-  cursor_op ~schema ~param_dep:(preds_param_dep preds) ~ios_now:(ctx_ios ctx)
+  cursor_op ~schema ~param_dep:(preds_param_dep preds)
     ~info:
       { name = Printf.sprintf "idx-scan XASR[%s]" alias;
         detail =
@@ -404,10 +393,8 @@ let label_scan ctx alias ~ntype ~value ~preds =
         children = [] }
     ~make_cursor
 
-let no_ios () = 0
-
 let empty schema =
-  make ~schema ~ios_now:no_ios
+  make ~schema
     ~info:{ name = "empty"; detail = "provably empty"; children = [] }
     ~next_batch:(fun () -> None)
     ~reset:(fun () -> ())
@@ -417,7 +404,7 @@ let singleton schema tuple =
   let b = Tuple.batch_create ~width:(List.length schema) 1 in
   Tuple.batch_push b tuple;
   let produced = ref false in
-  make ~schema ~ios_now:no_ios
+  make ~schema
     ~info:{ name = "unit"; detail = ""; children = [] }
     ~next_batch:(fun () ->
       if !produced then None
@@ -473,7 +460,10 @@ let par_scan_fill ctx ~keep ~domains () =
     match ranges with
     | [ r ] -> scan_range r ()
     | ranges ->
-      let handles = List.map (fun r -> Domain.spawn (scan_range r)) ranges in
+      (* Workers charge the request that spawned them, budget included. *)
+      let scope = Xqdb_storage.Metrics.current () in
+      let spawn r = Domain.spawn (fun () -> Xqdb_storage.Metrics.with_scope scope (scan_range r)) in
+      let handles = List.map spawn ranges in
       (* Join every domain before re-raising: an abandoned domain would
          keep scanning against the shared pool. *)
       let outcomes =
@@ -590,7 +580,7 @@ let nl_join ?(materialize_inner = `Mem) ?(semi = false) ~preds left right ctx =
     left_cur.restart ();
     current_left := None
   in
-  make ~schema ~ios_now:(ctx_ios ctx) ~kids:[left; right]
+  make ~schema ~kids:[left; right]
     ~next_batch:(batched ctx ~schema gen) ~reset
     ~param_dep:(preds_param_dep preds)
     ~clear:(if right.param_dep then inner_clear else ignore)
@@ -673,7 +663,7 @@ let bnl_join ?(block_size = 64) ~preds left right ctx =
     block_pos := 0;
     exhausted := false
   in
-  make ~schema ~ios_now:(ctx_ios ctx) ~kids:[left; right]
+  make ~schema ~kids:[left; right]
     ~next_batch:(batched ctx ~schema gen) ~reset
     ~param_dep:(preds_param_dep preds)
     ~clear:(if right.param_dep then (fun () -> inner := None) else ignore)
@@ -771,7 +761,7 @@ let inl_join ?(semi = false) ctx ~probe ~alias ~preds ~residual left =
         (Xqdb_tpm.Tpm_print.operand_to_string o)
     | Probe_pk op -> Printf.sprintf "%s.in = %s" alias (Xqdb_tpm.Tpm_print.operand_to_string op)
   in
-  make ~schema ~ios_now:(ctx_ios ctx) ~kids:[left]
+  make ~schema ~kids:[left]
     ~next_batch:(batched ctx ~schema gen) ~reset
     ~param_dep:(probe_param_dep || preds_param_dep preds || preds_param_dep residual)
     ~info:
@@ -783,7 +773,7 @@ let inl_join ?(semi = false) ctx ~probe ~alias ~preds ~residual left =
         children = [left.info] }
     ()
 
-let replay_op ~schema ~info ~ios_now ~kids ~clear_on_rebind ~ctx ~fill =
+let replay_op ~schema ~info ~kids ~clear_on_rebind ~ctx ~fill =
   (* Materialize-on-first-use operator over a list-producing fill; the
      cached list is served out through a reusable batch. *)
   let cache = ref None in
@@ -799,7 +789,7 @@ let replay_op ~schema ~info ~ios_now ~kids ~clear_on_rebind ~ctx ~fill =
   let out = out_batch ctx schema in
   (* A fill that must be dropped on rebind reads parameter slots, so the
      operator itself is parameter-dependent (kids contribute via make). *)
-  make ~schema ~info ~ios_now ~kids ~param_dep:clear_on_rebind
+  make ~schema ~info ~kids ~param_dep:clear_on_rebind
     ~clear:
       (if clear_on_rebind then (fun () ->
            cache := None;
@@ -829,7 +819,7 @@ let par_scan ctx ~domains alias ~preds =
   if domains < 1 then invalid_arg "Phys_op.par_scan: domains must be positive";
   let schema = Tuple.xasr_schema alias in
   let keep = Tuple.compile_preds ~params:ctx.params schema preds in
-  replay_op ~schema ~ios_now:(ctx_ios ctx) ~kids:[] ~ctx
+  replay_op ~schema ~kids:[] ~ctx
     ~clear_on_rebind:(preds_param_dep preds)
     ~info:
       { name = Printf.sprintf "par-scan XASR[%s]" alias;
@@ -925,7 +915,7 @@ let struct_join ?(semi = false) ctx ~lo ~hi ~alias ~label ~preds ~residual left 
     left_cur.restart ();
     current := None
   in
-  make ~schema ~ios_now:(ctx_ios ctx) ~kids:[left]
+  make ~schema ~kids:[left]
     ~next_batch:(batched ctx ~schema gen) ~reset
     ~param_dep:
       (operand_param_dep lo || operand_param_dep hi || preds_param_dep preds
@@ -1154,7 +1144,7 @@ let twig_match ctx ~anchor ~steps =
     | None -> false
     | Some (lo, hi) -> operand_param_dep lo || operand_param_dep hi
   in
-  replay_op ~schema ~ios_now:(ctx_ios ctx) ~kids:[] ~clear_on_rebind ~ctx
+  replay_op ~schema ~kids:[] ~clear_on_rebind ~ctx
     ~info:
       { name = "twig-match";
         detail =
@@ -1204,7 +1194,7 @@ let filter ?params ~preds child =
       done;
       if b.Tuple.len = 0 then next_batch () else Some b
   in
-  make ~schema:child.schema ~ios_now:child.ios_now ~kids:[child] ~next_batch
+  make ~schema:child.schema ~kids:[child] ~next_batch
     ~reset:child.reset
     ~param_dep:(preds_param_dep preds)
     ~info:{ name = "filter"; detail = preds_detail preds; children = [child.info] }
@@ -1254,7 +1244,7 @@ let project ~cols ~dedup child =
       done;
       if b.Tuple.len = 0 then next_batch () else Some b
   in
-  make ~schema:cols ~ios_now:child.ios_now ~kids:[child] ~next_batch
+  make ~schema:cols ~kids:[child] ~next_batch
     ~reset:(fun () ->
       child.reset ();
       accept := fresh_state ())
@@ -1326,7 +1316,7 @@ let sort ?(dedup = false) ~mode ~key_cols child ctx =
     | `In_mem -> fill_mem
     | `External -> fill_external
   in
-  replay_op ~schema:child.schema ~ios_now:(ctx_ios ctx) ~kids:[child] ~ctx
+  replay_op ~schema:child.schema ~kids:[child] ~ctx
     ~clear_on_rebind:child.param_dep
     ~info:
       { name = (match mode with `In_mem -> "sort" | `External -> "ext-sort");
@@ -1374,7 +1364,7 @@ let btree_sort ?(dedup = true) ~key_cols child ctx =
     in
     collect []
   in
-  replay_op ~schema:child.schema ~ios_now:(ctx_ios ctx) ~kids:[child] ~ctx
+  replay_op ~schema:child.schema ~kids:[child] ~ctx
     ~clear_on_rebind:child.param_dep
     ~info:
       { name = "btree-sort";
@@ -1388,7 +1378,7 @@ let btree_sort ?(dedup = true) ~key_cols child ctx =
 let materialize where child ctx =
   match where with
   | `Mem ->
-    replay_op ~schema:child.schema ~ios_now:(ctx_ios ctx) ~kids:[child] ~ctx
+    replay_op ~schema:child.schema ~kids:[child] ~ctx
       ~clear_on_rebind:child.param_dep
       ~info:{ name = "materialize"; detail = "memory"; children = [child.info] }
       ~fill:(fun () -> drain child)
@@ -1424,7 +1414,7 @@ let materialize where child ctx =
       | None -> None
       | Some data -> Some (Tuple.decode data)
     in
-    make ~schema:child.schema ~ios_now:(ctx_ios ctx) ~kids:[child]
+    make ~schema:child.schema ~kids:[child]
       ~clear:
         (if child.param_dep then (fun () ->
              spool := None;

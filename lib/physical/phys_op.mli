@@ -67,7 +67,7 @@ type stats = {
   mutable rows : int;  (** tuples produced by [next_batch] *)
   mutable batches : int;  (** batches produced by [next_batch] *)
   mutable ios : int;  (** inclusive page I/Os during [next_batch]/[reset] *)
-  mutable seconds : float;  (** inclusive CPU seconds during [next_batch]/[reset] *)
+  mutable seconds : float;  (** inclusive elapsed seconds during [next_batch]/[reset] *)
 }
 
 type t = {
@@ -79,9 +79,6 @@ type t = {
   info : info;
   stats : stats;
   kids : t list;  (** operator inputs, for profile trees *)
-  ios_now : unit -> int;
-      (** the disk I/O counter this operator is attributed against —
-          combinators without their own context inherit the child's *)
   param_dep : bool;
       (** whether this subtree's output depends on parameter slots *)
   clear : unit -> unit;
@@ -122,10 +119,15 @@ val info_to_string : info -> string
 
     Every operator measures itself: its [next_batch] and [reset]
     closures are wrapped so that rows and batches produced, page I/Os
-    and CPU time spent inside them accumulate into [stats].  Attribution
-    is at batch granularity — two I/O-counter reads and two clock reads
-    per batch, not per row — which is where vectorization wins back the
-    measurement overhead.  The measurements are inclusive (a child only
+    and elapsed time spent inside them accumulate into [stats].  The
+    page I/Os are those the disks charge to the installed
+    {!Xqdb_storage.Metrics.scope} — the running request's, which the
+    engine installs around a measured run and {!par_scan} workers
+    install on its behalf — so under concurrent sessions an operator is
+    never charged for another session's I/O; outside any scope operators
+    report zero I/Os.  Attribution is at batch granularity — two scope
+    reads and two clock reads per batch, not per row — which is where
+    vectorization wins back the measurement overhead.  The measurements are inclusive (a child only
     runs inside its parent's call windows); {!profile} turns an operator
     tree into a tree of per-operator numbers with the exclusive share
     ([own_ios], [own_seconds]) recovered by subtracting the inputs'

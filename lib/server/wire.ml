@@ -51,7 +51,7 @@ type status_code =
 type response = {
   status : status_code;
   payload : string;
-  elapsed : float;  (* wall-clock seconds spent executing; 0 if not run *)
+  elapsed : float;  (* elapsed seconds spent executing; 0 if not run *)
   page_ios : int;  (* page I/Os charged to the request; 0 if not run *)
   retry_after : float option;  (* shed requests: when to try again *)
 }

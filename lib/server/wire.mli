@@ -40,7 +40,7 @@ type status_code =
 type response = {
   status : status_code;
   payload : string;  (** serialized forest for [Ok]; message otherwise *)
-  elapsed : float;  (** wall-clock seconds executing; 0 if not run *)
+  elapsed : float;  (** elapsed seconds executing; 0 if not run *)
   page_ios : int;  (** page I/Os charged to the request; 0 if not run *)
   retry_after : float option;
       (** [Unavailable] only: the server's hint for when to retry *)

@@ -1,36 +1,30 @@
 type t = {
-  disk : Disk.t;
-  base_ios : int;
+  scope : Metrics.scope;
   start : float;
   max_page_ios : int option;
   max_seconds : float option;
-  (* Absolute wall-clock instant ({!Monotonic.now} scale) after which
-     the request is dead.  Unlike [max_seconds] — a relative cap the
-     server clamps — the deadline travels with the request, so queue
-     time before execution counts against it. *)
+  (* Absolute instant ({!Monotonic.now} scale) after which the request
+     is dead.  Unlike [max_seconds] — a relative cap the server clamps —
+     the deadline travels with the request, so queue time before
+     execution counts against it. *)
   deadline : float option;
 }
 
 exception Exhausted of string
 exception Deadline_exceeded of string
 
-let ios_of disk =
-  let c = Disk.counters disk in
-  c.Disk.reads + c.Disk.writes
-
-let create ?max_page_ios ?max_seconds ?deadline disk =
-  (* Wall clock, not [Sys.time]: a time budget bounds how long the
+let create ?max_page_ios ?max_seconds ?deadline () =
+  (* Elapsed time, not process CPU time: a time budget bounds how long the
      caller waits, which includes I/O wait and — under concurrent
      sessions — time spent blocked on latches. *)
-  { disk;
-    base_ios = ios_of disk;
+  { scope = Metrics.scope ();
     start = Monotonic.now ();
     max_page_ios;
     max_seconds;
     deadline }
 
-let unlimited disk = create disk
-let page_ios t = ios_of t.disk - t.base_ios
+let scope t = t.scope
+let page_ios t = Disk.scope_ios t.scope
 let elapsed t = Monotonic.elapsed_since t.start
 
 let check t =

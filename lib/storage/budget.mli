@@ -3,15 +3,13 @@
     The paper's efficiency tests ran each engine under "20 MB of memory
     and 2 or 30 minutes per query" and censored over-budget engines at
     the cap.  Here a budget bounds page I/Os (the simulator's proxy for
-    time, independent of host speed) and elapsed wall-clock seconds
-    ({!Monotonic} — [Sys.time]'s CPU seconds never advance while a
-    session blocks on I/O or another domain runs); operators poll
-    [check] in their inner loops.
+    time, independent of host speed) and elapsed {!Monotonic} seconds;
+    operators poll [check] in their inner loops.
 
-    The I/O count is the {e global} disk counter delta since creation,
-    so under concurrency other sessions' page I/Os can charge this
-    budget too — page caps are approximate across concurrent sessions
-    (DESIGN.md, "Serving traffic"). *)
+    A budget owns its request's {!Metrics.scope}, and its I/O count is
+    what the disks charged to that scope while it was installed — by the
+    engine around a measured run, and by par_scan workers on the run's
+    behalf.  Other sessions' I/O never charges it. *)
 
 type t
 
@@ -22,13 +20,13 @@ exception Deadline_exceeded of string
     {!Exhausted} so the engine can censor it as a typed [Timeout]
     rather than a generic over-budget status. *)
 
-val unlimited : Disk.t -> t
-
-val create : ?max_page_ios:int -> ?max_seconds:float -> ?deadline:float -> Disk.t -> t
-(** Counts I/Os relative to the disk counters at creation time.
+val create : ?max_page_ios:int -> ?max_seconds:float -> ?deadline:float -> unit -> t
+(** A budget with a fresh scope; with no caps it never trips.
     [deadline] is an {e absolute} instant on the {!Monotonic.now}
     scale — the wire layer converts a client's relative deadline to
     absolute at admission, so time spent queued counts against it. *)
+
+val scope : t -> Metrics.scope
 
 val check : t -> unit
 (** @raise Deadline_exceeded when the deadline has passed (checked
@@ -37,7 +35,7 @@ val check : t -> unit
     @raise Exhausted when a page-I/O or time cap is exceeded. *)
 
 val page_ios : t -> int
-(** Page I/Os (reads + writes) consumed since creation. *)
+(** Page I/Os (reads + writes) charged to the budget's scope. *)
 
 val elapsed : t -> float
-(** Wall-clock seconds since creation. *)
+(** Seconds since creation. *)

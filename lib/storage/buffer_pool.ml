@@ -44,13 +44,6 @@ type pin = {
 }
 [@@guarded_by lock]
 
-type stats = {
-  hits : int;
-  misses : int;
-  evictions : int;
-  retries : int;
-}
-
 type t = {
   disk : Disk.t;
   wal : Wal.t option;
@@ -60,7 +53,7 @@ type t = {
      under the table mutex, so the policy must keep the whole window in
      the low milliseconds (the default does). *)
   retry_policy : Retry.policy;
-  (* The table mutex: frames, LRU links, pin counts, counters, the
+  (* The table mutex: frames, LRU links, pin counts, the
      sanitizer's live list, and all disk/WAL traffic happen under it.
      Frame *contents* are guarded by the per-frame latches instead, so
      callbacks overlap across domains; the mutex is never held while a
@@ -73,10 +66,6 @@ type t = {
   mutable head : frame option;  (* most recently used *)
   mutable tail : frame option;  (* least recently used *)
   mutable live : pin list;  (* outstanding pins, sanitize mode only *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable retries : int;
   (* Lockdep class names for this pool's frame latches and table mutex —
      unique per pool so two pools' page ids never alias in the global
      order graph (see {!Lock_order}). *)
@@ -122,10 +111,6 @@ let create ?(capacity = 64) ?(sanitize = env_sanitize) ?(retry_policy = Retry.de
     head = None;
     tail = None;
     live = [];
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-    retries = 0;
     lockdep_page = Printf.sprintf "pool%d.page" seq;
     lockdep_table = Printf.sprintf "pool%d.table" seq }
 
@@ -166,9 +151,7 @@ let bump_domain_pins t d delta =
    make them right, it can only hide real corruption. *)
 let with_retries t f =
   Retry.run ~policy:t.retry_policy
-    ~on_retry:(fun ~attempt:_ _ ->
-      t.retries <- t.retries + 1;
-      Metrics.incr m_retries)
+    ~on_retry:(fun ~attempt:_ _ -> Metrics.incr m_retries)
     ~retryable:Retry.transient_disk_fault f
 
 (* --- the LRU list ------------------------------------------------------ *)
@@ -254,7 +237,6 @@ let evict_one t =
   write_back t victim;
   detach t victim;
   Hashtbl.remove t.frames victim.page_id;
-  t.evictions <- t.evictions + 1;
   Metrics.incr m_evictions
 
 let insert_frame t page_id buf dirty =
@@ -278,12 +260,10 @@ let insert_frame t page_id buf dirty =
 let find t page_id =
   match Hashtbl.find_opt t.frames page_id with
   | Some frame ->
-    t.hits <- t.hits + 1;
     Metrics.incr m_hits;
     touch t frame;
     frame
   | None ->
-    t.misses <- t.misses + 1;
     Metrics.incr m_misses;
     insert_frame t page_id (with_retries t (fun () -> Disk.read_page t.disk page_id)) false
 
@@ -570,14 +550,3 @@ let drop_all t =
       Hashtbl.reset t.frames;
       t.head <- None;
       t.tail <- None)
-
-let stats t =
-  locked t (fun () ->
-      { hits = t.hits; misses = t.misses; evictions = t.evictions; retries = t.retries })
-
-let reset_stats t =
-  locked t (fun () ->
-      t.hits <- 0;
-      t.misses <- 0;
-      t.evictions <- 0;
-      t.retries <- 0)

@@ -12,12 +12,13 @@
 
     Replacement is strict LRU over an intrusive doubly-linked frame
     list: victim selection is O(1) amortized (a tail-ward walk skipping
-    pinned frames) and fully deterministic.
+    pinned frames) and fully deterministic.  Hits, misses, evictions and
+    retries are counted as [pool.*] {!Metrics} counters.
 
     {2 Concurrency}
 
     The pool is safe to share across domains.  A single table mutex
-    guards the frame table, the LRU list, pin counts, counters and all
+    guards the frame table, the LRU list, pin counts and all
     disk/WAL traffic; frame {e contents} are guarded by a per-frame
     readers-writer {!Latch} instead, so callbacks overlap: any number of
     [with_page] readers may work on the same frame at once, while a
@@ -194,13 +195,3 @@ val assert_balanced : where:string -> baseline:pin_baseline -> t -> unit
     exactly the pins taken since the baseline.  [Engine.run] brackets
     every measured run with this, so a query must release everything it
     pinned even when the caller holds pins across the call. *)
-
-type stats = {
-  hits : int;
-  misses : int;
-  evictions : int;
-  retries : int;  (** disk operations retried after a {!Disk.Disk_error} *)
-}
-
-val stats : t -> stats
-val reset_stats : t -> unit

@@ -12,6 +12,13 @@ type backend =
 let m_torn_writes = Metrics.counter "disk.torn_writes"
 let m_checksum_failures = Metrics.counter "disk.checksum_failures"
 
+(* Bumped beside the per-disk fields below, so the installed Metrics
+   scope sees exactly the I/Os [counters] does: injected failures
+   uncounted, torn writes counted. *)
+let m_reads = Metrics.counter "disk.reads"
+let m_writes = Metrics.counter "disk.writes"
+let m_allocs = Metrics.counter "disk.allocs"
+
 type counters = {
   reads : int;
   writes : int;
@@ -69,6 +76,7 @@ let do_alloc t =
   let id = t.count in
   t.count <- t.count + 1;
   t.allocs <- t.allocs + 1;
+  Metrics.incr m_allocs;
   (match t.backend with
    | Mem m ->
      if id >= Array.length m.pages then begin
@@ -167,6 +175,7 @@ let read_page t id =
    | No_fault -> ()
    | Fail msg | Torn msg -> raise (Disk_error msg));
   t.reads <- t.reads + 1;
+  Metrics.incr m_reads;
   let buf = fetch t id in
   if not (Page.checksum_matches buf) then begin
     Metrics.incr m_checksum_failures;
@@ -200,6 +209,7 @@ let write_page t id buf =
        applied to a copy — the caller's buffer stays intact, so a retry
        with the same buffer repairs the page. *)
     t.writes <- t.writes + 1;
+    Metrics.incr m_writes;
     Metrics.incr m_torn_writes;
     let half = Bytes.sub buf 0 (t.psize / 2) in
     let victim = t.psize / 4 in
@@ -208,6 +218,7 @@ let write_page t id buf =
     raise (Disk_error msg)
   | No_fault ->
     t.writes <- t.writes + 1;
+    Metrics.incr m_writes;
     persist t id buf t.psize
 
 let sync t =
@@ -220,6 +231,8 @@ let sync t =
 let counters t = { reads = t.reads; writes = t.writes; allocs = t.allocs }
 
 let total_ios t = t.reads + t.writes
+
+let scope_ios s = Metrics.charged s m_reads + Metrics.charged s m_writes
 
 let close t =
   match t.backend with

@@ -102,8 +102,12 @@ type counters = {
 val counters : t -> counters
 
 val total_ios : t -> int
-(** [reads + writes], without allocating a {!counters} record — the
-    accessor the per-operator I/O attribution polls on every tuple. *)
+(** [reads + writes], without allocating a {!counters} record. *)
+
+val scope_ios : Metrics.scope -> int
+(** Page I/Os (reads + writes, of any disk) charged to a scope.  Every
+    disk bumps the [disk.reads], [disk.writes] and [disk.allocs]
+    counters exactly where it bumps its own {!counters}. *)
 
 val close : t -> unit
 (** Close the backing file, if any.  The disk must not be used after. *)

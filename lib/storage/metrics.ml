@@ -1,5 +1,6 @@
 type counter = {
   name : string;
+  id : int;  (* registration order: the counter's slot in a scope *)
   value : int Atomic.t;
 }
 
@@ -7,8 +8,9 @@ type counter = {
    module initialization of the instrumented subsystem) and bumped with a
    single atomic fetch-and-add on the hot path — parallel scan domains
    bump the same counters, so a plain mutable field would silently lose
-   updates.  Readers work on snapshots, so per-query attribution is done
-   by delta, never by resetting behind a running engine's back. *)
+   updates.  Per-request attribution goes through scopes, never through
+   resetting or diffing the global values behind a running engine's
+   back. *)
 let registry : (string, counter) Hashtbl.t = Hashtbl.create 64
 [@@guarded_by registry_mutex]
 
@@ -19,32 +21,55 @@ let counter name =
       match Hashtbl.find_opt registry name with
       | Some c -> c
       | None ->
-        let c = { name; value = Atomic.make 0 } in
+        let c = { name; id = Hashtbl.length registry; value = Atomic.make 0 } in
         Hashtbl.replace registry name c;
         c)
 
-let name c = c.name
 let value c = Atomic.get c.value
-let incr c = ignore (Atomic.fetch_and_add c.value 1)
-let add c n = ignore (Atomic.fetch_and_add c.value n)
+
+(* Outside any [with_scope] the empty scope is installed, which charges
+   nothing.  Slots are atomic: par_scan workers charge their parent
+   request's scope from their own domains. *)
+type scope = int Atomic.t array
+
+let scope () =
+  let n = Mutex.protect registry_mutex (fun () -> Hashtbl.length registry) in
+  Array.init n (fun _ -> Atomic.make 0)
+
+let installed : scope Domain.DLS.key = Domain.DLS.new_key (fun () -> [||])
+
+let current () = Domain.DLS.get installed
+
+let with_scope s f =
+  let previous = Domain.DLS.get installed in
+  Domain.DLS.set installed s;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set installed previous) f
+
+let charged s c = if c.id < Array.length s then Atomic.get s.(c.id) else 0
+
+(* [incr] is spelled out rather than [add c 1]: it sits on the B-tree,
+   latch and pool hot paths. *)
+let incr c =
+  Atomic.incr c.value;
+  let s = Domain.DLS.get installed in
+  if c.id < Array.length s then Atomic.incr (Array.unsafe_get s c.id)
+
+let add c n =
+  ignore (Atomic.fetch_and_add c.value n);
+  let s = Domain.DLS.get installed in
+  if c.id < Array.length s then ignore (Atomic.fetch_and_add (Array.unsafe_get s c.id) n)
 
 type snapshot = (string * int) list
 
-let snapshot () =
+let nonzero read =
   Mutex.protect registry_mutex (fun () ->
-      Hashtbl.fold (fun _ c acc -> (c.name, Atomic.get c.value) :: acc) registry [])
+      Hashtbl.fold (fun _ c acc -> match read c with 0 -> acc | v -> (c.name, v) :: acc) registry [])
   |> List.sort (fun (n1, _) (n2, _) -> String.compare n1 n2)
+
+let snapshot () = nonzero value
+let scope_snapshot s = nonzero (charged s)
 
 let get snap name =
   match List.assoc_opt name snap with
   | Some v -> v
   | None -> 0
-
-(* [diff later earlier]: per-counter deltas, dropping zero entries so a
-   profile only reports the subsystems a query actually touched. *)
-let diff later earlier =
-  List.filter_map
-    (fun (name, v) ->
-      let d = v - get earlier name in
-      if d = 0 then None else Some (name, d))
-    later

@@ -1,27 +1,19 @@
-(** A process-wide registry of cheap monotonic counters.
+(** A process-wide registry of cheap monotonic counters, and per-request
+    scopes over it.
 
-    The storage structures (buffer pool, B+-tree, external sort, heap
-    files) register named counters here and bump them on their hot paths
-    — one mutable-field write per event, no allocation.  The engine
-    attributes activity to a query by taking a {!snapshot} before and
-    after the run and reporting the {!diff}; this is what feeds the
-    [counters] section of an {!Xqdb_core.Engine} profile and the
-    machine-readable [BENCH_*.json] benchmark output.
+    The storage structures register named counters here and bump them
+    on their hot paths — no allocation.  Names are dotted paths,
+    subsystem first: [disk.reads], [pool.misses], [btree.splits],
+    [ext_sort.runs], [heap.appends], ...
 
-    Counter names are dotted paths, subsystem first:
-    [pool.hits], [pool.misses], [pool.evictions], [pool.retries],
-    [btree.node_reads], [btree.splits], [btree.inserts],
-    [ext_sort.runs], [ext_sort.merge_passes],
-    [heap.appends], [heap.scans].
-
-    Counters are global, not per-structure: with several pools or trees
-    in one process the registry reports the sum.  Per-structure numbers
-    stay available where they always were (e.g.
-    {!Buffer_pool.stats}).
-
-    Counters are domain-safe: increments are atomic fetch-and-adds, so
-    parallel scan domains bumping the same counter never lose updates,
-    and the registry itself is guarded by a mutex. *)
+    Every bump also charges the domain's installed {!scope}: the one
+    accounting source of a measured run.  The engine installs the run's
+    {!Budget} scope around compile, execute and serialize, so its page
+    I/Os, budget checks, operator windows and profile counters all read
+    the same slots, and under concurrent sessions each request is
+    charged only for its own work.  The global values ({!snapshot}) stay
+    the process-wide sums benchmarks read around a window.  Counters,
+    scopes and the registry are domain-safe. *)
 
 type counter
 
@@ -29,19 +21,34 @@ val counter : string -> counter
 (** Find or create the counter registered under this name.  Call once at
     module initialization and keep the handle; lookups hash the name. *)
 
-val name : counter -> string
 val value : counter -> int
 
 val incr : counter -> unit
 val add : counter -> int -> unit
+(** Bump the global value and the calling domain's installed scope. *)
+
+type scope
+(** One atomic slot per counter registered when the scope was made;
+    counters registered later are not charged to it. *)
+
+val scope : unit -> scope
+
+val with_scope : scope -> (unit -> 'a) -> 'a
+(** Run with the scope installed in the calling domain, restoring the
+    previous one afterwards, also on exception. *)
+
+val current : unit -> scope
+(** The installed scope; outside any {!with_scope}, an empty scope that
+    charges nothing. *)
+
+val charged : scope -> counter -> int
 
 type snapshot = (string * int) list
-(** Sorted by counter name. *)
+(** Non-zero readings, sorted by counter name. *)
 
+val scope_snapshot : scope -> snapshot
 val snapshot : unit -> snapshot
+(** The global values. *)
 
 val get : snapshot -> string -> int
 (** 0 for a counter absent from the snapshot. *)
-
-val diff : snapshot -> snapshot -> snapshot
-(** [diff later earlier] — per-counter deltas, zero entries dropped. *)

@@ -81,6 +81,10 @@ let chaos_config =
   { Engine_config.m4 with
     Engine_config.retry_policy = { Storage.Retry.default with Storage.Retry.attempts = 8 } }
 
+(* A global counter's value; each leg reports the growth of the retry
+   counters {!Storage.Retry} bumps. *)
+let global name = Metrics.get (Metrics.snapshot ()) name
+
 let fault_policy = function
   | Transient ->
     (* High enough that a leg's cold reads (a small document is only a
@@ -310,7 +314,7 @@ let wal_leg ~seed ~rounds =
     try Sys.remove wal_path with Sys_error _ -> ()
   in
   Fun.protect ~finally:cleanup (fun () ->
-      let before = Metrics.snapshot () in
+      let attempts0 = global "retry.attempts" in
       let violations = ref [] in
       let db = Database.create ~config:chaos_config ~on_file:path () in
       (match Database.wal db with
@@ -361,8 +365,7 @@ let wal_leg ~seed ~rounds =
               Printf.sprintf "WAL leg: post-fault open_file failed: %s"
                 (Printexc.to_string e)
               :: !violations));
-      let delta = Metrics.diff (Metrics.snapshot ()) before in
-      (rounds, Metrics.get delta "retry.attempts", List.rev !violations))
+      (rounds, global "retry.attempts" - attempts0, List.rev !violations))
 
 (* --- the full run ---------------------------------------------------------- *)
 
@@ -396,13 +399,13 @@ let run ?(profile = Transient) ?(max_p99_ratio = 200.0) ~sessions ~requests ~see
   let injector =
     Storage.Fault_disk.attach ~policy:(fault_policy profile) ~seed (Database.disk db)
   in
-  let before = Metrics.snapshot () in
+  let attempts0 = global "retry.attempts" in
+  let giveups0 = global "retry.giveups" in
   let chaos = run_leg ~label:"chaos" ~db ~mix ~oracle ~scheds () in
-  let delta = Metrics.diff (Metrics.snapshot ()) before in
   let injected = (Storage.Fault_disk.counts injector).Storage.Fault_disk.injected in
   Storage.Fault_disk.detach injector;
-  let retry_attempts = Metrics.get delta "retry.attempts" in
-  let retry_giveups = Metrics.get delta "retry.giveups" in
+  let retry_attempts = global "retry.attempts" - attempts0 in
+  let retry_giveups = global "retry.giveups" - giveups0 in
   let wal_rounds, wal_retry_attempts, wal_violations = wal_leg ~seed ~rounds:8 in
   let p99_ratio =
     if baseline.p99_ms > 0. then chaos.p99_ms /. baseline.p99_ms else 1.0

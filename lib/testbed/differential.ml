@@ -75,10 +75,6 @@ let generate ~seed ~index =
 
 (* --- clean differential pass -------------------------------------------- *)
 
-let page_ios disk =
-  let c = Disk.counters disk in
-  c.Disk.reads + c.Disk.writes
-
 (* Compare one engine's result against the milestone-1 oracle.  With no
    faults and no budget, only [Ok] and [Error] (the runtime type error
    the paper allows) are legitimate. *)
@@ -112,7 +108,7 @@ let clean_trial ?(scan_domains = 1) ~index engine oracle =
       | None ->
         let name = config.Engine_config.name in
         let e = Engine.with_config config engine in
-        let before = page_ios (Engine.disk e) in
+        let before = Disk.total_ios (Engine.disk e) in
         (match Engine.run e query with
         | result ->
           (match compare_to_oracle name oracle_result result with
@@ -120,7 +116,7 @@ let clean_trial ?(scan_domains = 1) ~index engine oracle =
           | None ->
             (* The engine's self-reported accounting must match what the
                harness observes on the raw disk counters. *)
-            let observed = page_ios (Engine.disk e) - before in
+            let observed = Disk.total_ios (Engine.disk e) - before in
             if result.Engine.page_ios <> observed then
               record
                 (Printf.sprintf "%s accounting diverges: reported %d page I/Os, disk saw %d"
@@ -138,7 +134,7 @@ let clean_trial ?(scan_domains = 1) ~index engine oracle =
           | prepared ->
             let rerun tag =
               if !failure = None then begin
-                let before = page_ios (Engine.disk e) in
+                let before = Disk.total_ios (Engine.disk e) in
                 match Engine.run_prepared e prepared with
                 | presult ->
                   (match
@@ -148,7 +144,7 @@ let clean_trial ?(scan_domains = 1) ~index engine oracle =
                    with
                   | Some msg -> record msg
                   | None ->
-                    let observed = page_ios (Engine.disk e) - before in
+                    let observed = Disk.total_ios (Engine.disk e) - before in
                     if presult.Engine.page_ios <> observed then
                       record
                         (Printf.sprintf
@@ -173,7 +169,7 @@ let clean_trial ?(scan_domains = 1) ~index engine oracle =
           let axis tag config' =
             if !failure = None then begin
               let e' = Engine.with_config config' engine in
-              let before = page_ios (Engine.disk e') in
+              let before = Disk.total_ios (Engine.disk e') in
               match Engine.run e' query with
               | result ->
                 (match
@@ -181,7 +177,7 @@ let clean_trial ?(scan_domains = 1) ~index engine oracle =
                  with
                 | Some msg -> record msg
                 | None ->
-                  let observed = page_ios (Engine.disk e') - before in
+                  let observed = Disk.total_ios (Engine.disk e') - before in
                   if result.Engine.page_ios <> observed then
                     record
                       (Printf.sprintf

@@ -7,7 +7,7 @@ module Pipeline = Xqdb_plan.Pipeline
 module Engine = Xqdb_core.Engine
 module Engine_config = Xqdb_core.Engine_config
 module W = Xqdb_workload
-module Disk = Xqdb_storage.Disk
+module Storage = Xqdb_storage
 
 type measurement = {
   name : string;
@@ -70,29 +70,24 @@ let run ?(scale = 300) () =
     if String.equal v Xqdb_xq.Xq_ast.root_var then (1, root_out)
     else Xqdb_storage.Xqdb_error.internal "Plan_lab: unexpected external %s" v
   in
+  (* Each plan is measured like an engine run: inside the scope of a
+     fresh budget, which supplies both its page I/Os and its seconds. *)
   let measure name description plan =
     let ctx = Op.make_ctx store in
-    let disk = Xqdb_storage.Buffer_pool.disk (Xqdb_xasr.Node_store.pool store) in
-    let before =
-      let c = Disk.counters disk in
-      c.Disk.reads + c.Disk.writes
-    in
-    let start = Sys.time () in
-    let tmpl = Planner.template ctx plan in
-    Planner.bind tmpl ~env;
-    let rows = List.length (Op.drain tmpl.Planner.op) in
-    let seconds = Sys.time () -. start in
-    let after =
-      let c = Disk.counters disk in
-      c.Disk.reads + c.Disk.writes
+    let budget = Storage.Budget.create () in
+    let rows =
+      Storage.Metrics.with_scope (Storage.Budget.scope budget) (fun () ->
+          let tmpl = Planner.template ctx plan in
+          Planner.bind tmpl ~env;
+          List.length (Op.drain tmpl.Planner.op))
     in
     { name;
       description;
       plan = Planner.to_string plan;
       est_cost = plan.Planner.est_cost;
-      page_ios = after - before;
+      page_ios = Storage.Budget.page_ios budget;
       rows;
-      seconds }
+      seconds = Storage.Budget.elapsed budget }
   in
   let qp0 =
     measure "QP0" "authors joined before the volume test; order restored by sorting"

@@ -1,5 +1,4 @@
 module Engine = Xqdb_core.Engine
-module Storage = Xqdb_storage
 
 type json =
   | Null
@@ -261,12 +260,6 @@ let profile_json (p : Engine.profile) =
     [ ("reads", Int p.reads);
       ("writes", Int p.writes);
       ("allocs", Int p.allocs);
-      ( "pool",
-        Obj
-          [ ("hits", Int p.pool.Storage.Buffer_pool.hits);
-            ("misses", Int p.pool.Storage.Buffer_pool.misses);
-            ("evictions", Int p.pool.Storage.Buffer_pool.evictions);
-            ("retries", Int p.pool.Storage.Buffer_pool.retries) ] );
       ("counters", Obj (List.map (fun (name, v) -> (name, Int v)) p.counters));
       ("operator_ios", Int p.operator_ios);
       ("other_ios", Int p.other_ios);
@@ -293,7 +286,7 @@ let cell_json (c : Efficiency.cell) =
 
 (* Bumped on every schema change; reports are regenerated, never
    migrated, so only the current version validates. *)
-let schema_version = 7
+let schema_version = 8
 
 let bench_json ~kind extra ~results =
   Obj
@@ -527,9 +520,7 @@ let validate_profile p =
     if roots_ios <> op_ios then
       Error (Printf.sprintf "operator_ios %d <> sum of operator roots %d" op_ios roots_ios)
     else
-      let* pool = need "pool" (member "pool" p) in
-      let* _ = int_field pool "hits" in
-      let* _ = int_field pool "misses" in
+      let* _ = need "counters" (member "counters" p) in
       Ok ()
 
 let validate_result r =

@@ -7,12 +7,12 @@
     [BENCH_*.json], and the validators CI runs over those files and over
     the [xqdb-lint] JSON report.
 
-    One schema version is current (7) and only it validates: a schema
+    One schema version is current (8) and only it validates: a schema
     change bumps the version, and old versions are not kept — reports
     are regenerated, never migrated.
 
     {v
-    { "schema_version": 7,
+    { "schema_version": 8,
       "kind": "fig7" | "ablations" | "milestones" | "templates"
             | "structural",
       "budget": int,              (fig7 only)
@@ -22,8 +22,6 @@
           "page_ios": int, "seconds": float, "censored": bool,
           "profile": {
             "reads": int, "writes": int, "allocs": int,
-            "pool": {"hits": int, "misses": int, "evictions": int,
-                     "retries": int},
             "counters": {<metric name>: int, ...},
             "operator_ios": int, "other_ios": int,
             "operators": [<op>, ...] } } ] }
@@ -31,9 +29,11 @@
 
     where each [<op>] is [{ "op": str, "args": str, "rows": int,
     "batches": int, "ios": int, "own_ios": int, "seconds": float,
-    "own_seconds": float, "inputs": [<op>, ...] }].  Planner, cache and
-    WAL activity (e.g. [planner.templates_built], [wal.appends]) lives in
-    [profile.counters], which omits zero deltas.
+    "own_seconds": float, "inputs": [<op>, ...] }].  Pool, planner,
+    cache and WAL activity (e.g. [pool.misses],
+    [planner.templates_built], [wal.appends]) lives in
+    [profile.counters]: the counters charged to the run's scope, zero
+    entries omitted.
 
     Crash-sweep reports ([kind = "crash"], {!crash_json}) use the same
     envelope with one flat result object per crash point:

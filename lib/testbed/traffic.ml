@@ -15,7 +15,12 @@ module Dblp = Xqdb_workload.Dblp_gen
    domains start, one session executes every distinct query of the mix
    and records (status, payload); each concurrent response must match
    exactly.  With the pin sanitizer on, the run also asserts the shared
-   pool ends quiescent — no leaked pins, no held latches. *)
+   pool ends quiescent — no leaked pins, no held latches.
+
+   Accounting is checked by conservation: the concurrent phase starts on
+   a cold pool, and the page I/Os its responses report must add up to
+   exactly what the disk moved — a request charged for another
+   session's I/O would count it twice. *)
 
 type mode =
   | Closed  (* each session fires its next request on completion *)
@@ -121,6 +126,7 @@ type outcome = {
   counts : int * int * int * int * int * int;
   (* ok, budget, timeout, error, io, bad *)
   mism : int;
+  page_ios : int;  (* summed over the responses *)
 }
 
 let run_session ~db ~caps ~sched ~mode ~oracle =
@@ -134,6 +140,7 @@ let run_session ~db ~caps ~sched ~mode ~oracle =
   let ok = ref 0 and budget = ref 0 and timeout = ref 0 in
   let error = ref 0 and io = ref 0 and bad = ref 0 in
   let mism = ref 0 in
+  let page_ios = ref 0 in
   let start = Storage.Monotonic.now () in
   for i = 0 to n - 1 do
     (match mode with
@@ -148,6 +155,7 @@ let run_session ~db ~caps ~sched ~mode ~oracle =
     let t0 = Storage.Monotonic.now () in
     let resp = roundtrip session (make_request ~caps text) in
     latencies.(i) <- Storage.Monotonic.elapsed_since t0;
+    page_ios := !page_ios + resp.Wire.page_ios;
     (match resp.Wire.status with
      | Wire.Ok -> incr ok
      | Wire.Budget_exceeded -> incr budget
@@ -161,7 +169,8 @@ let run_session ~db ~caps ~sched ~mode ~oracle =
       ()
     | Some _ | None -> incr mism
   done;
-  { latencies; counts = (!ok, !budget, !timeout, !error, !io, !bad); mism = !mism }
+  { latencies; counts = (!ok, !budget, !timeout, !error, !io, !bad); mism = !mism;
+    page_ios = !page_ios }
 
 let session_report ~k (o : outcome) =
   let sorted = Array.copy o.latencies in
@@ -201,13 +210,21 @@ let run ?(mode = Closed) ?max_page_ios ?max_seconds ~sessions ~requests ~seed ~s
     mix_entries;
   let mix_size = List.length mix_entries in
   let scheds = Array.init sessions (schedule ~seed ~requests ~mix_size) in
+  (* Cold start, so the concurrent phase really does I/O. *)
+  let pool = Engine.pool (Database.engine db ~name:doc_name) in
+  Storage.Buffer_pool.drop_all pool;
+  let ios_before = Storage.Disk.total_ios (Database.disk db) in
   let start = Storage.Monotonic.now () in
   let outcomes =
     run_sessions sessions (fun k -> run_session ~db ~caps ~sched:scheds.(k) ~mode ~oracle)
   in
   let wall_seconds = Storage.Monotonic.elapsed_since start in
-  assert_quiescent ~after:"all traffic sessions joined"
-    (Engine.pool (Database.engine db ~name:doc_name));
+  assert_quiescent ~after:"all traffic sessions joined" pool;
+  let charged = Array.fold_left (fun acc o -> acc + o.page_ios) 0 outcomes in
+  let moved = Storage.Disk.total_ios (Database.disk db) - ios_before in
+  if charged <> moved then
+    Storage.Xqdb_error.internal
+      "Traffic: responses report %d page I/Os but the disk moved %d" charged moved;
   let per_session =
     List.mapi (fun k o -> session_report ~k o) (Array.to_list outcomes)
   in

@@ -13,7 +13,13 @@
     response is compared against it and counted as a mismatch when it
     differs — the multi-session acceptance criterion.  After all
     sessions join, the shared pool must be quiescent (no pins, no held
-    latches); a leak raises {!Xqdb_storage.Xqdb_error.Internal}. *)
+    latches); a leak raises {!Xqdb_storage.Xqdb_error.Internal}.
+
+    The concurrent phase starts on a cold pool (dropped after the oracle
+    pass), and the page I/Os its responses report must sum to exactly
+    the disk's read + write delta over the phase — each request is
+    charged for its own I/O and nobody else's.  A violation raises
+    {!Xqdb_storage.Xqdb_error.Internal}. *)
 
 type mode =
   | Closed  (** each session fires its next request on completion *)

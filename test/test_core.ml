@@ -157,9 +157,10 @@ let rec op_profile_consistent (p : Engine.op_profile) =
 
 (* The reconciliation property of the observability layer: per-operator
    attributed I/Os plus the engine's residual equal the run's page I/Os,
-   which equal the raw disk-counter delta; pool and storage-structure
-   counter deltas are consistent; and nothing leaks between queries —
-   profiles are deltas, so a second run reconciles on its own. *)
+   which equal the raw disk-counter delta; the scope's pool counters
+   agree with its disk counters (every read is a pool miss); and nothing
+   leaks between queries — each run has its own scope, so a second run
+   reconciles on its own. *)
 let profiles_reconcile =
   QCheck2.Test.make ~name:"profiles reconcile with disk counters" ~count:100
     G.(pair Test_support.Gen.forest_gen Test_support.Gen.xq_gen)
@@ -182,9 +183,8 @@ let profiles_reconcile =
                  (fun acc (o : Engine.op_profile) -> acc + o.Engine.ios)
                  0 p.Engine.operators
           && List.for_all op_profile_consistent p.Engine.operators
-          && p.Engine.pool.Xqdb_storage.Buffer_pool.hits >= 0
-          && p.Engine.pool.Xqdb_storage.Buffer_pool.misses >= 0
-          && List.for_all (fun (_, v) -> v >= 0) p.Engine.counters
+          && Xqdb_storage.Metrics.get p.Engine.counters "pool.misses" = p.Engine.reads
+          && List.for_all (fun (_, v) -> v > 0) p.Engine.counters
         in
         (* Twice: the second run must reconcile independently of the
            first (deltas, not absolute counters). *)
@@ -211,6 +211,30 @@ let test_profile_operators () =
     (fun (name, v) ->
       Alcotest.(check bool) (name ^ " non-negative") true (v >= 0))
     p.Engine.counters
+
+(* Parallel-scan workers run on domains of their own but charge the
+   request that spawned them: on a cold pool, a 4-domain run's page I/Os
+   are exactly the disk's, and its par-scan operators carry their
+   share. *)
+let test_par_scan_charges_parent () =
+  let config = { Config.m4 with Config.scan_domains = 4 } in
+  let engine = Engine.load_forest ~config [W.Dblp_gen.generate (W.Dblp_gen.scaled 100)] in
+  let disk = Engine.disk engine in
+  Xqdb_storage.Buffer_pool.drop_all (Engine.pool engine);
+  let before = Xqdb_storage.Disk.total_ios disk in
+  let result =
+    Engine.run engine (Xqdb_xq.Xq_parser.parse "for $x in $root//* return $x")
+  in
+  let delta = Xqdb_storage.Disk.total_ios disk - before in
+  Alcotest.(check bool) "ok" true (result.Engine.status = Engine.Ok);
+  Alcotest.(check bool) "the cold run read pages" true (delta > 0);
+  Alcotest.(check int) "page_ios = disk delta" delta result.Engine.page_ios;
+  let rec par_ios (o : Engine.op_profile) =
+    (if String.starts_with ~prefix:"par-scan" o.Engine.op then o.Engine.ios else 0)
+    + List.fold_left (fun acc i -> acc + par_ios i) 0 o.Engine.inputs
+  in
+  let par = List.fold_left (fun acc o -> acc + par_ios o) 0 result.Engine.profile.Engine.operators in
+  Alcotest.(check bool) "par-scan operators charged the workers' I/O" true (par > 0)
 
 (* --- budgets and errors ------------------------------------------------------ *)
 
@@ -600,7 +624,9 @@ let () =
           prop merging_ablation_agrees ] );
       ( "profiles",
         [ prop profiles_reconcile;
-          Alcotest.test_case "operator breakdown" `Quick test_profile_operators ] );
+          Alcotest.test_case "operator breakdown" `Quick test_profile_operators;
+          Alcotest.test_case "par-scan workers charge the parent" `Quick
+            test_par_scan_charges_parent ] );
       ( "budgets and errors",
         [ Alcotest.test_case "censoring" `Quick test_budget_censoring;
           Alcotest.test_case "type errors" `Quick test_type_errors_reported;

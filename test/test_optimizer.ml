@@ -307,7 +307,8 @@ let test_template_reuse () =
       | Tuple.I nin, Tuple.I nout -> (nin, nout)
       | _ -> Alcotest.fail "article vartuple is not (in, out)"
   in
-  let before = S.Metrics.snapshot () in
+  let scope = S.Metrics.scope () in
+  S.Metrics.with_scope scope @@ fun () ->
   let tmpl = Planner.template (Op.make_ctx store) plan in
   let reused =
     List.map
@@ -324,7 +325,7 @@ let test_template_reuse () =
   Alcotest.(check bool) "rebinding agrees with fresh instantiation" true (reused = fresh);
   Alcotest.(check bool) "some article has authors" true
     (List.exists (fun rows -> rows <> []) reused);
-  let d = S.Metrics.diff (S.Metrics.snapshot ()) before in
+  let d = S.Metrics.scope_snapshot scope in
   let n = List.length articles in
   Alcotest.(check int) "one shared template + n fresh instantiations" (1 + n)
     (S.Metrics.get d "planner.templates_built");

@@ -499,9 +499,12 @@ let test_operator_budget () =
       [Xqdb_workload.Dblp_gen.generate (Xqdb_workload.Dblp_gen.scaled 150)]
   in
   S.Buffer_pool.drop_all pool;
-  let budget = S.Budget.create ~max_page_ios:2 disk in
+  let budget = S.Budget.create ~max_page_ios:2 () in
   let ctx = Op.make_ctx ~budget store in
-  match Op.count (Op.full_scan ctx "R" ~preds:[]) with
+  match
+    S.Metrics.with_scope (S.Budget.scope budget) (fun () ->
+        Op.count (Op.full_scan ctx "R" ~preds:[]))
+  with
   | _ -> Alcotest.fail "expected exhaustion"
   | exception S.Budget.Exhausted _ -> ()
 
@@ -594,19 +597,20 @@ let test_budget_partial_batches () =
       [Xqdb_workload.Dblp_gen.generate (Xqdb_workload.Dblp_gen.scaled 150)]
   in
   S.Buffer_pool.drop_all pool;
-  let budget = S.Budget.create ~max_page_ios:2 disk in
+  let budget = S.Budget.create ~max_page_ios:2 () in
   let ctx = Op.make_ctx ~budget store in
   let op = Op.full_scan ctx "R" ~preds:[] in
+  let charged f = S.Metrics.with_scope (S.Budget.scope budget) f in
   (* The budget is polled per batch, so the first batch (whose fill
      overruns the two-I/O allowance) still comes back whole... *)
   let first =
-    match Op.next_batch op with
+    match charged (fun () -> Op.next_batch op) with
     | Some b -> b.Tuple.len
     | None -> Alcotest.fail "expected rows before exhaustion"
   in
   Alcotest.(check bool) "first batch delivered" true (first > 0);
   (* ...and the next poll raises. *)
-  (match Op.next_batch op with
+  (match charged (fun () -> Op.next_batch op) with
    | _ -> Alcotest.fail "expected exhaustion on the second batch"
    | exception S.Budget.Exhausted _ -> ());
   (* The censored operator still reports a consistent partial profile. *)
@@ -679,11 +683,14 @@ let test_par_scan_budget () =
       [Xqdb_workload.Dblp_gen.generate (Xqdb_workload.Dblp_gen.scaled 150)]
   in
   S.Buffer_pool.drop_all pool;
-  let budget = S.Budget.create ~max_page_ios:2 disk in
+  let budget = S.Budget.create ~max_page_ios:2 () in
   let ctx = Op.make_ctx ~budget store in
   (* Exhaustion inside a worker domain must cross the join barrier and
      surface as the ordinary budget exception, not a crash. *)
-  match Op.count (Op.par_scan ctx ~domains:3 "R" ~preds:[]) with
+  match
+    S.Metrics.with_scope (S.Budget.scope budget) (fun () ->
+        Op.count (Op.par_scan ctx ~domains:3 "R" ~preds:[]))
+  with
   | _ -> Alcotest.fail "expected exhaustion through the domain join"
   | exception S.Budget.Exhausted _ -> ()
 

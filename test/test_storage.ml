@@ -52,28 +52,37 @@ let test_disk_file () =
 
 (* --- buffer pool ---------------------------------------------------------- *)
 
+(* The counters [f] charged to a fresh Metrics scope. *)
+let charged f =
+  let s = S.Metrics.scope () in
+  S.Metrics.with_scope s f;
+  S.Metrics.scope_snapshot s
+
 let test_buffer_pool () =
   let disk = S.Disk.in_memory ~page_size:128 () in
   let pool = S.Buffer_pool.create ~capacity:2 disk in
   let pages = List.init 4 (fun _ -> S.Buffer_pool.alloc_page pool) in
   S.Buffer_pool.flush_all pool;
   (* Touch all four pages through a 2-frame pool: eviction must happen. *)
-  List.iter
-    (fun p -> S.Buffer_pool.with_page_mut pool p (fun b -> Bytes.set b 0 'z'))
-    pages;
-  let stats = S.Buffer_pool.stats pool in
-  Alcotest.(check bool) "evictions happened" true (stats.S.Buffer_pool.evictions > 0);
+  let touched =
+    charged (fun () ->
+        List.iter
+          (fun p -> S.Buffer_pool.with_page_mut pool p (fun b -> Bytes.set b 0 'z'))
+          pages)
+  in
+  Alcotest.(check bool) "evictions happened" true (S.Metrics.get touched "pool.evictions" > 0);
   S.Buffer_pool.flush_all pool;
   (* The writes survived eviction. *)
   List.iter
     (fun p -> Alcotest.(check char) "persisted" 'z' (Bytes.get (S.Disk.read_page disk p) 0))
     pages;
   (* Hits: the same page twice in a row. *)
-  S.Buffer_pool.reset_stats pool;
-  S.Buffer_pool.with_page pool (List.hd pages) ignore;
-  S.Buffer_pool.with_page pool (List.hd pages) ignore;
-  let stats = S.Buffer_pool.stats pool in
-  Alcotest.(check int) "second access is a hit" 1 stats.S.Buffer_pool.hits;
+  let twice =
+    charged (fun () ->
+        S.Buffer_pool.with_page pool (List.hd pages) ignore;
+        S.Buffer_pool.with_page pool (List.hd pages) ignore)
+  in
+  Alcotest.(check int) "second access is a hit" 1 (S.Metrics.get twice "pool.hits");
   (* Nested pins on distinct pages up to capacity are fine. *)
   (match pages with
    | a :: b :: _ ->
@@ -120,20 +129,19 @@ let test_pool_lru_order () =
   S.Buffer_pool.with_page pool pages.(1) ignore;
   S.Buffer_pool.with_page pool pages.(2) ignore;
   S.Buffer_pool.with_page pool pages.(0) ignore;
-  S.Buffer_pool.reset_stats pool;
   (* Fetching page 3 evicts page 1 (the LRU), so 2 and 0 are still hits. *)
-  S.Buffer_pool.with_page pool pages.(3) ignore;
-  S.Buffer_pool.with_page pool pages.(2) ignore;
-  S.Buffer_pool.with_page pool pages.(0) ignore;
-  let stats = S.Buffer_pool.stats pool in
-  Alcotest.(check int) "one miss (the new page)" 1 stats.S.Buffer_pool.misses;
-  Alcotest.(check int) "survivors hit" 2 stats.S.Buffer_pool.hits;
-  Alcotest.(check int) "one eviction" 1 stats.S.Buffer_pool.evictions;
+  let c =
+    charged (fun () ->
+        S.Buffer_pool.with_page pool pages.(3) ignore;
+        S.Buffer_pool.with_page pool pages.(2) ignore;
+        S.Buffer_pool.with_page pool pages.(0) ignore)
+  in
+  Alcotest.(check int) "one miss (the new page)" 1 (S.Metrics.get c "pool.misses");
+  Alcotest.(check int) "survivors hit" 2 (S.Metrics.get c "pool.hits");
+  Alcotest.(check int) "one eviction" 1 (S.Metrics.get c "pool.evictions");
   (* And page 1 is gone: touching it evicts the then-LRU page 3. *)
-  S.Buffer_pool.reset_stats pool;
-  S.Buffer_pool.with_page pool pages.(1) ignore;
-  let stats = S.Buffer_pool.stats pool in
-  Alcotest.(check int) "evicted page misses" 1 stats.S.Buffer_pool.misses
+  let c = charged (fun () -> S.Buffer_pool.with_page pool pages.(1) ignore) in
+  Alcotest.(check int) "evicted page misses" 1 (S.Metrics.get c "pool.misses")
 
 (* --- slotted pages --------------------------------------------------------- *)
 
@@ -507,29 +515,70 @@ let test_catalog_overflow () =
 
 let test_budget () =
   let disk = S.Disk.in_memory ~page_size:128 () in
-  let budget = S.Budget.create ~max_page_ios:5 disk in
+  let budget = S.Budget.create ~max_page_ios:5 () in
   S.Budget.check budget;
   let p = S.Disk.alloc disk in
-  for _ = 1 to 6 do
-    ignore (S.Disk.read_page disk p)
-  done;
+  let reads n () =
+    for _ = 1 to n do
+      ignore (S.Disk.read_page disk p)
+    done
+  in
+  S.Metrics.with_scope (S.Budget.scope budget) (reads 6);
   Alcotest.(check int) "consumption measured" 6 (S.Budget.page_ios budget);
   (match S.Budget.check budget with
    | _ -> Alcotest.fail "budget should be exhausted"
    | exception S.Budget.Exhausted _ -> ());
-  (* An unlimited budget never trips. *)
-  let free = S.Budget.unlimited disk in
-  for _ = 1 to 100 do
-    ignore (S.Disk.read_page disk p)
-  done;
+  (* I/O outside the budget's scope is not charged to it. *)
+  reads 10 ();
+  Alcotest.(check int) "unscoped reads not charged" 6 (S.Budget.page_ios budget);
+  (* A budget without caps never trips. *)
+  let free = S.Budget.create () in
+  S.Metrics.with_scope (S.Budget.scope free) (reads 100);
   S.Budget.check free
 
-(* The time budget is a wall-clock budget.  Sleeping accrues no process
+(* Two requests on two domains, interleaved deterministically: A holds a
+   zero-I/O budget in scope while B does pool I/O under its own.  A
+   budget that read a process-wide counter would charge B's misses to A
+   and censor it. *)
+let test_budget_isolation () =
+  let disk = S.Disk.in_memory ~page_size:128 () in
+  let pool = S.Buffer_pool.create ~capacity:2 disk in
+  let pages = List.init 4 (fun _ -> S.Buffer_pool.alloc_page pool) in
+  S.Buffer_pool.drop_all pool;
+  let turn = Atomic.make 0 in
+  let await n =
+    while Atomic.get turn <> n do
+      Domain.cpu_relax ()
+    done
+  in
+  let a =
+    Domain.spawn (fun () ->
+        let budget = S.Budget.create ~max_page_ios:0 () in
+        S.Metrics.with_scope (S.Budget.scope budget) (fun () ->
+            Atomic.set turn 1;
+            await 2;
+            S.Budget.check budget;
+            S.Budget.page_ios budget))
+  in
+  let b =
+    Domain.spawn (fun () ->
+        await 1;
+        let mine = S.Budget.create () in
+        S.Metrics.with_scope (S.Budget.scope mine) (fun () ->
+            List.iter (fun p -> S.Buffer_pool.with_page pool p ignore) pages);
+        Atomic.set turn 2;
+        S.Budget.page_ios mine)
+  in
+  let b_ios = Domain.join b in
+  let a_ios = Domain.join a in
+  Alcotest.(check int) "B's misses charged to B" 4 b_ios;
+  Alcotest.(check int) "none charged to A" 0 a_ios
+
+(* The time budget is an elapsed-time budget.  Sleeping accrues no process
    CPU time, so under the old [Sys.time] implementation this budget
    never tripped — a hung I/O or a descheduled domain ran forever. *)
 let test_budget_wall_clock () =
-  let disk = S.Disk.in_memory ~page_size:128 () in
-  let budget = S.Budget.create ~max_seconds:0.05 disk in
+  let budget = S.Budget.create ~max_seconds:0.05 () in
   S.Budget.check budget;
   Unix.sleepf 0.1;
   Alcotest.(check bool) "elapsed is wall time" true (S.Budget.elapsed budget >= 0.05);
@@ -843,9 +892,10 @@ let test_pool_retry_transient () =
            S.Disk.Fail "transient write fault"
          | _ -> S.Disk.No_fault));
   (* Allocating a second page through a 1-frame pool evicts p1. *)
-  let p2 = S.Buffer_pool.alloc_page pool in
-  Alcotest.(check bool) "distinct pages" true (p1 <> p2);
-  Alcotest.(check bool) "retried" true ((S.Buffer_pool.stats pool).S.Buffer_pool.retries > 0);
+  let p2 = ref p1 in
+  let c = charged (fun () -> p2 := S.Buffer_pool.alloc_page pool) in
+  Alcotest.(check bool) "distinct pages" true (p1 <> !p2);
+  Alcotest.(check bool) "retried" true (S.Metrics.get c "pool.retries" > 0);
   S.Disk.set_injector disk None;
   Alcotest.(check char) "dirty page persisted despite the fault" 'q'
     (Bytes.get (S.Disk.read_page disk p1) 0)
@@ -917,9 +967,10 @@ let test_retry_absorbs_transient () =
     [sched.(0); sched.(1)] (List.rev !slept)
 
 let test_retry_gives_up () =
-  let before = S.Metrics.snapshot () in
   let calls = ref 0 in
-  (match
+  let d =
+    charged @@ fun () ->
+    match
      S.Retry.run
        ~policy:{ S.Retry.default with S.Retry.attempts = 4 }
        ~sleep:ignore ~retryable:S.Retry.transient_disk_fault
@@ -927,10 +978,10 @@ let test_retry_gives_up () =
          incr calls;
          raise (S.Disk.Disk_error "still down"))
    with
-   | () -> Alcotest.fail "an exhausted retry must re-raise"
-   | exception S.Disk.Disk_error _ -> ());
+    | () -> Alcotest.fail "an exhausted retry must re-raise"
+    | exception S.Disk.Disk_error _ -> ()
+  in
   Alcotest.(check int) "every attempt used" 4 !calls;
-  let d = S.Metrics.diff (S.Metrics.snapshot ()) before in
   Alcotest.(check int) "retries counted" 3 (S.Metrics.get d "retry.attempts");
   Alcotest.(check int) "giveup counted" 1 (S.Metrics.get d "retry.giveups")
 
@@ -983,18 +1034,29 @@ let test_metrics () =
   let after = S.Metrics.snapshot () in
   Alcotest.(check int) "delta" 5
     (S.Metrics.get after "test.counter" - S.Metrics.get before "test.counter");
-  Alcotest.(check int) "diff reports the delta" 5
-    (S.Metrics.get (S.Metrics.diff after before) "test.counter");
   Alcotest.(check int) "absent counter reads 0" 0 (S.Metrics.get after "no.such.counter");
+  (* Bumps charge the installed scope only; [with_scope] nests and
+     restores the previous scope, also when the body raises. *)
+  let outer = S.Metrics.scope () and inner = S.Metrics.scope () in
+  S.Metrics.with_scope outer (fun () ->
+      S.Metrics.incr c;
+      S.Metrics.with_scope inner (fun () -> S.Metrics.add c 2);
+      (try S.Metrics.with_scope inner (fun () -> failwith "boom") with Failure _ -> ());
+      S.Metrics.incr c);
+  S.Metrics.incr c;
+  Alcotest.(check int) "outer charged around the inner scope" 2 (S.Metrics.charged outer c);
+  Alcotest.(check (list (pair string int))) "inner scope's non-zero slots"
+    [("test.counter", 2)] (S.Metrics.scope_snapshot inner);
   (* Storage structures feed the registry: a pool miss shows up. *)
-  let snap = S.Metrics.snapshot () in
   let disk = S.Disk.in_memory ~page_size:128 () in
   let pool = S.Buffer_pool.create ~capacity:2 disk in
   let p = S.Buffer_pool.alloc_page pool in
   S.Buffer_pool.drop_all pool;
-  S.Buffer_pool.with_page pool p ignore;
-  S.Buffer_pool.with_page pool p ignore;
-  let d = S.Metrics.diff (S.Metrics.snapshot ()) snap in
+  let d =
+    charged (fun () ->
+        S.Buffer_pool.with_page pool p ignore;
+        S.Buffer_pool.with_page pool p ignore)
+  in
   Alcotest.(check int) "pool.misses delta" 1 (S.Metrics.get d "pool.misses");
   Alcotest.(check int) "pool.hits delta" 1 (S.Metrics.get d "pool.hits")
 
@@ -1484,6 +1546,7 @@ let () =
           Alcotest.test_case "semantics-transparent" `Quick test_sanitizer_transparent ] );
       ( "budget",
         [ Alcotest.test_case "exhaustion" `Quick test_budget;
+          Alcotest.test_case "isolated across domains" `Quick test_budget_isolation;
           Alcotest.test_case "wall-clock seconds" `Quick test_budget_wall_clock;
           Alcotest.test_case "monotonic clock" `Quick test_monotonic ] );
       ( "latches",

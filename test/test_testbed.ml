@@ -210,19 +210,19 @@ let test_report_validates () =
    | Error _ -> ());
   (* Only the current schema validates: the previous version is refused
      even when the rest of the report is well-formed. *)
-  let v6 =
+  let v7 =
     match report with
     | R.Obj fields ->
       R.Obj
         (List.map
            (function
-             | ("schema_version", _) -> ("schema_version", R.Int 6)
+             | ("schema_version", _) -> ("schema_version", R.Int 7)
              | kv -> kv)
            fields)
     | v -> v
   in
-  match R.validate_bench v6 with
-  | Ok () -> Alcotest.fail "schema_version 6 accepted"
+  match R.validate_bench v7 with
+  | Ok () -> Alcotest.fail "schema_version 7 accepted"
   | Error _ -> ()
 
 (* Each report kind's gate, on a synthetic report that passes it and one
@@ -239,7 +239,6 @@ let synthetic_result ?(extra = []) ~engine ~test ~page_ios ~templates () =
             [ ("reads", R.Int page_ios);
               ("writes", R.Int 0);
               ("allocs", R.Int 0);
-              ("pool", R.Obj [("hits", R.Int 0); ("misses", R.Int page_ios)]);
               ("counters", R.Obj [("planner.templates_built", R.Int templates)]);
               ("operator_ios", R.Int 0);
               ("other_ios", R.Int page_ios);

@@ -375,9 +375,9 @@ let test_nav_eval_budget () =
       [Xqdb_workload.Dblp_gen.generate (Xqdb_workload.Dblp_gen.scaled 100)]
   in
   S.Buffer_pool.drop_all pool;
-  let budget = S.Budget.create ~max_page_ios:3 disk in
+  let budget = S.Budget.create ~max_page_ios:3 () in
   let q = Xqdb_xq.Xq_parser.parse "for $x in //article return for $y in //author return <p/>" in
-  match X.Nav_eval.eval ~budget store q with
+  match S.Metrics.with_scope (S.Budget.scope budget) (fun () -> X.Nav_eval.eval ~budget store q) with
   | _ -> Alcotest.fail "expected budget exhaustion"
   | exception S.Budget.Exhausted _ -> ()
 
