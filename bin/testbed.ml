@@ -95,19 +95,8 @@ let fault_seeds =
     & info ["fault-seeds"] ~docv:"N"
         ~doc:"Injector seeds swept per trial when $(b,--fault-rate) is positive.")
 
-let scan_domains =
-  Arg.(
-    value
-    & opt int 1
-    & info ["scan-domains"] ~docv:"N"
-        ~doc:
-          "Additionally rerun every configuration with full scans partitioned \
-           across N domains; the answers must stay byte-identical.")
-
-let differential_action seed count fault_rate fault_seeds scan_domains =
-  let report =
-    T.Differential.run ~seed ~count ~fault_rate ~fault_seeds ~scan_domains ()
-  in
+let differential_action seed count fault_rate fault_seeds =
+  let report = T.Differential.run ~seed ~count ~fault_rate ~fault_seeds () in
   print_string (T.Differential.render report);
   if not (T.Differential.ok report) then exit 1
 
@@ -117,9 +106,7 @@ let differential_cmd =
        ~doc:
          "Randomized differential oracle: every milestone against the \
           milestone-1 reference, optionally under injected disk faults.")
-    Term.(
-      const differential_action $ seed $ count $ fault_rate $ fault_seeds
-      $ scan_domains)
+    Term.(const differential_action $ seed $ count $ fault_rate $ fault_seeds)
 
 (* --- crash: crash-point recovery sweep ----------------------------------- *)
 

@@ -4,8 +4,9 @@
      xqdb run      -- evaluate an XQ query against a document
      xqdb explain  -- show the TPM rewriting and the physical plans
      xqdb label    -- print a document with its in/out labels (Figure 2)
-     xqdb shred    -- load a document into a database file and report
-     xqdb stats    -- print the milestone-4 statistics of a document *)
+     xqdb stats    -- print the milestone-4 statistics of a document
+     xqdb load     -- load a document into a multi-document database file
+     (plus query / ls / drop / open / serve / repl over such files) *)
 
 open Cmdliner
 module Engine = Xqdb_core.Engine
@@ -133,20 +134,6 @@ let label_cmd =
   in
   let term = Term.(term_result (const action $ doc_term)) in
   Cmd.v (Cmd.info "label" ~doc:"Print the in/out labeling of a document (Figure 2).") term
-
-let shred_cmd =
-  let db_term =
-    Arg.(required & opt (some string) None & info ["db"] ~docv:"FILE" ~doc:"Database file.")
-  in
-  let action xml path =
-    let config = Config.m4 in
-    let engine = Engine.load ~config ~on_file:path xml in
-    let stats = Engine.doc_stats engine in
-    Format.printf "shredded into %s@.%a@." path Xqdb_xasr.Doc_stats.pp stats;
-    Ok ()
-  in
-  let term = Term.(term_result (const action $ doc_term $ db_term)) in
-  Cmd.v (Cmd.info "shred" ~doc:"Load a document into a database file.") term
 
 let stats_cmd =
   let action xml =
@@ -386,5 +373,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ run_cmd; explain_cmd; label_cmd; shred_cmd; stats_cmd; load_cmd; query_cmd;
+          [ run_cmd; explain_cmd; label_cmd; stats_cmd; load_cmd; query_cmd;
             ls_cmd; drop_cmd; serve_cmd; open_cmd; repl_cmd ]))

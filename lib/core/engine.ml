@@ -58,50 +58,38 @@ type t = {
 (* One engine per session, one session per worker domain. *)
 [@@domain_local]
 
-let fresh_cache config = Plan_cache.create config.Engine_config.prepared_cache_capacity
+(* Plenty for the testbed's fixed query mixes; small enough that a
+   server session replaying ad-hoc query text cannot grow its cache
+   without bound. *)
+let plan_cache_capacity = 64
+
+let fresh_cache () = Plan_cache.create plan_cache_capacity
+
+(* The one record builder.  [doc] is the labeled document milestone 1
+   evaluates over: built from the loaded forest, or reconstructed from
+   the store when attaching. *)
+let build config ~disk ~pool ~catalog ~store ~doc_stats ~doc =
+  let config = Engine_config.validate config in
+  let stats = Stats.make ~quality:config.Engine_config.quality store doc_stats in
+  let root_out = (Store.root_tuple store).Xasr.nout in
+  { config; disk; pool; catalog; store; doc_stats; stats; doc; root_out;
+    prepared_cache = fresh_cache ();
+    cache_epoch = Storage.Catalog.epoch catalog }
 
 let load_forest ?(config = Engine_config.m4) forest =
-  let config = Engine_config.validate config in
   let disk = Storage.Disk.in_memory () in
   let pool = Storage.Buffer_pool.create ~capacity:config.Engine_config.pool_capacity
       ~retry_policy:config.Engine_config.retry_policy disk in
   let catalog = Storage.Catalog.attach pool in
   let store, doc_stats = Shredder.shred_forest pool ~name:"doc" forest in
   Store.register store catalog ~stats:doc_stats;
-  let stats = Stats.make ~quality:config.Engine_config.quality store doc_stats in
-  let doc = Xml_doc.of_forest forest in
-  let root_out = (Store.root_tuple store).Xasr.nout in
-  { config; disk; pool; catalog; store; doc_stats; stats; doc; root_out;
-    prepared_cache = fresh_cache config;
-    cache_epoch = Storage.Catalog.epoch catalog }
+  build config ~disk ~pool ~catalog ~store ~doc_stats ~doc:(Xml_doc.of_forest forest)
 
-let load ?(config = Engine_config.m4) ?on_file xml =
-  let config = Engine_config.validate config in
-  let forest = Xml_parser.parse_forest xml in
-  match on_file with
-  | None -> load_forest ~config forest
-  | Some path ->
-    let disk = Storage.Disk.on_file path in
-    let pool = Storage.Buffer_pool.create ~capacity:config.Engine_config.pool_capacity
-      ~retry_policy:config.Engine_config.retry_policy disk in
-    let catalog = Storage.Catalog.attach pool in
-    let store, doc_stats = Shredder.shred_forest pool ~name:"doc" forest in
-    Store.register store catalog ~stats:doc_stats;
-    let stats = Stats.make ~quality:config.Engine_config.quality store doc_stats in
-    let doc = Xml_doc.of_forest forest in
-    let root_out = (Store.root_tuple store).Xasr.nout in
-    { config; disk; pool; catalog; store; doc_stats; stats; doc; root_out;
-      prepared_cache = fresh_cache config;
-      cache_epoch = Storage.Catalog.epoch catalog }
+let load ?config xml = load_forest ?config (Xml_parser.parse_forest xml)
 
 let attach ?(config = Engine_config.m4) ~disk ~pool ~catalog ~store ~doc_stats () =
-  let config = Engine_config.validate config in
-  let stats = Stats.make ~quality:config.Engine_config.quality store doc_stats in
-  let doc = Xml_doc.of_forest (Reconstruct.root_forest store) in
-  let root_out = (Store.root_tuple store).Xasr.nout in
-  { config; disk; pool; catalog; store; doc_stats; stats; doc; root_out;
-    prepared_cache = fresh_cache config;
-    cache_epoch = Storage.Catalog.epoch catalog }
+  build config ~disk ~pool ~catalog ~store ~doc_stats
+    ~doc:(Xml_doc.of_forest (Reconstruct.root_forest store))
 
 let with_config config t =
   let config = Engine_config.validate config in
@@ -112,7 +100,7 @@ let with_config config t =
   { t with
     config;
     stats = Stats.make ~quality:config.Engine_config.quality t.store t.doc_stats;
-    prepared_cache = fresh_cache config;
+    prepared_cache = fresh_cache ();
     cache_epoch = Storage.Catalog.epoch t.catalog }
 
 (* A per-session view over the same database: shares the store, pool and
@@ -122,7 +110,7 @@ let with_config config t =
    prepared value; per-session caches give each session its own compiled
    copies.  [cache_epoch] is mutable, and record copy makes it
    per-session too. *)
-let session t = { t with prepared_cache = fresh_cache t.config }
+let session t = { t with prepared_cache = fresh_cache () }
 
 let config t = t.config
 let store t = t.store
@@ -141,8 +129,7 @@ let pipeline_ctx t =
   { Pipeline.config =
       { Pipeline.merge_relfors = t.config.Engine_config.merge_relfors;
         planner = t.config.Engine_config.planner;
-        batch_size = t.config.Engine_config.batch_size;
-        scan_domains = t.config.Engine_config.scan_domains };
+        batch_size = t.config.Engine_config.batch_size };
     stats = t.stats;
     store = t.store }
 
@@ -178,8 +165,7 @@ let compile_internal t query =
     let form =
       match t.config.Engine_config.milestone with
       | Engine_config.M1 | Engine_config.M2 -> Direct
-      | Engine_config.M3 | Engine_config.M4 ->
-        Staged (Pipeline.compile (pipeline_ctx t) query)
+      | Engine_config.Algebraic -> Staged (Pipeline.compile (pipeline_ctx t) query)
     in
     let p = { p_query = query; p_form = form } in
     Plan_cache.put t.prepared_cache key p
@@ -189,8 +175,6 @@ let compile_internal t query =
 let compile t query =
   Xq_check.check_exn query;
   compile_internal t query
-
-let prepare = compile
 
 (* --- execution ---------------------------------------------------------- *)
 
@@ -359,7 +343,7 @@ let rec run_form t budget operators (p : prepared) : Tree.forest =
   match (p.p_form, t.config.Engine_config.milestone) with
   | Direct, Engine_config.M1 -> Xq_eval.eval t.doc p.p_query
   | Direct, Engine_config.M2 -> Nav_eval.eval ?budget t.store p.p_query
-  | Direct, (Engine_config.M3 | Engine_config.M4) ->
+  | Direct, Engine_config.Algebraic ->
     (* Prepared under a direct-evaluation configuration but executed on
        an algebraic one: compile (through the cache) and re-dispatch. *)
     run_form t budget operators (compile_internal t p.p_query)
@@ -435,11 +419,9 @@ let run ?max_page_ios ?max_seconds ?deadline t query =
   measured ?max_page_ios ?max_seconds ?deadline t (fun budget operators ->
       run_form t budget operators (compile_internal t query))
 
-let run_prepared ?max_page_ios ?max_seconds ?deadline t prepared =
+let execute ?max_page_ios ?max_seconds ?deadline t prepared =
   measured ?max_page_ios ?max_seconds ?deadline t (fun budget operators ->
       run_form t budget operators prepared)
-
-let execute = run_prepared
 
 let run_string ?max_page_ios ?max_seconds ?deadline t input =
   run ?max_page_ios ?max_seconds ?deadline t (Xq_parser.parse input)
@@ -455,7 +437,7 @@ let explain ?(analyze = false) t query =
   match t.config.Engine_config.milestone with
   | Engine_config.M1 -> "milestone 1: in-memory denotational evaluation"
   | Engine_config.M2 -> "milestone 2: navigational evaluation over the XASR store"
-  | Engine_config.M3 | Engine_config.M4 ->
+  | Engine_config.Algebraic ->
     Xq_check.check_exn query;
     let prepared = compile_internal t query in
     let staged =
@@ -469,7 +451,7 @@ let explain ?(analyze = false) t query =
     let base = Pipeline.render_staged staged in
     if not analyze then base
     else begin
-      let r = run_prepared t prepared in
+      let r = execute t prepared in
       let buf = Buffer.create (String.length base + 1024) in
       Buffer.add_string buf base;
       Buffer.add_string buf "== analyze ==\n";

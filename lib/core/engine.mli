@@ -9,11 +9,13 @@
 
 type t
 
-val load : ?config:Engine_config.t -> ?on_file:string -> string -> t
-(** [load xml] builds an engine over an in-memory disk; [~on_file:path]
-    uses a real database file instead. *)
+val load : ?config:Engine_config.t -> string -> t
+(** [load xml] is [load_forest (parse xml)].  File databases are built
+    through {!Database}, which logs and checkpoints them. *)
 
 val load_forest : ?config:Engine_config.t -> Xqdb_xml.Xml_tree.forest -> t
+(** Shred the forest into a fresh in-memory store; the labeled document
+    milestone 1 evaluates over is built from the same forest. *)
 
 val attach :
   ?config:Engine_config.t ->
@@ -142,9 +144,9 @@ val compile : t -> Xqdb_xq.Xq_ast.query -> prepared
 (** Compile through the engine's prepared cache (keyed by canonical
     query text; hits count [engine.prepared_cache_hits]).  The cache
     belongs to one engine value — [with_config] and [session] start
-    fresh ones.  It is bounded by the configuration's
-    [prepared_cache_capacity]: beyond that the least-recently-used plan
-    is evicted ([engine.prepared_cache_evictions]).  When the catalog
+    fresh ones.  It holds at most {!plan_cache_capacity} plans: beyond
+    that the least-recently-used plan is evicted
+    ([engine.prepared_cache_evictions]).  When the catalog
     epoch has moved since the cached plans were compiled (a document was
     loaded or dropped), the whole cache is invalidated
     ([engine.prepared_cache_invalidations]); if this engine's own
@@ -153,17 +155,13 @@ val compile : t -> Xqdb_xq.Xq_ast.query -> prepared
     dead pages.
     @raise Invalid_argument if the query fails {!Xqdb_xq.Xq_check}. *)
 
-val prepare : t -> Xqdb_xq.Xq_ast.query -> prepared
-(** Alias of {!compile}. *)
+val plan_cache_capacity : int
+(** Prepared plans one engine value keeps (64). *)
 
 val execute :
   ?max_page_ios:int -> ?max_seconds:float -> ?deadline:float -> t -> prepared -> result
 (** Execute a prepared query: bind parameters, reset the cached operator
     trees and drain them — no rewriting, merging or planning. *)
-
-val run_prepared :
-  ?max_page_ios:int -> ?max_seconds:float -> ?deadline:float -> t -> prepared -> result
-(** Alias of {!execute} (historical name). *)
 
 val run_string :
   ?max_page_ios:int -> ?max_seconds:float -> ?deadline:float -> t -> string -> result

@@ -4,8 +4,7 @@ module Stats = Xqdb_optimizer.Stats
 type milestone =
   | M1
   | M2
-  | M3
-  | M4
+  | Algebraic
 
 type t = {
   name : string;
@@ -14,24 +13,11 @@ type t = {
   planner : Planner.config;
   quality : Stats.quality;
   pool_capacity : int;
-  prepared_cache_capacity : int;
   batch_size : int;
-  scan_domains : int;
   retry_policy : Xqdb_storage.Retry.policy;
 }
 
-let milestone_name = function
-  | M1 -> "milestone 1 (in-memory)"
-  | M2 -> "milestone 2 (navigational)"
-  | M3 -> "milestone 3 (algebraic)"
-  | M4 -> "milestone 4 (cost-based)"
-
 let default_pool = 256
-
-(* Plenty for the testbed's fixed query mixes; small enough that a
-   server session replaying ad-hoc query text cannot grow without
-   bound. *)
-let default_prepared_cache = 64
 
 let default_batch_size = 256
 
@@ -45,10 +31,6 @@ let validate t =
     invalid_arg
       (Printf.sprintf "Engine_config %s: batch_size must be positive (got %d)"
          t.name t.batch_size);
-  if t.scan_domains <= 0 then
-    invalid_arg
-      (Printf.sprintf "Engine_config %s: scan_domains must be positive (got %d)"
-         t.name t.scan_domains);
   if t.batch_size > max_batch_size then { t with batch_size = max_batch_size }
   else t
 
@@ -59,9 +41,7 @@ let m1 =
     planner = Planner.m3_config;
     quality = Stats.Good;
     pool_capacity = default_pool;
-    prepared_cache_capacity = default_prepared_cache;
     batch_size = default_batch_size;
-    scan_domains = 1;
     retry_policy = Xqdb_storage.Retry.default }
 
 let m2 = { m1 with name = "m2"; milestone = M2 }
@@ -69,16 +49,11 @@ let m2 = { m1 with name = "m2"; milestone = M2 }
 let m3 =
   { m1 with
     name = "m3";
-    milestone = M3;
+    milestone = Algebraic;
     merge_relfors = true;
     planner = Planner.m3_config }
 
-let m4 =
-  { m1 with
-    name = "m4";
-    milestone = M4;
-    merge_relfors = true;
-    planner = Planner.m4_config }
+let m4 = { m3 with name = "m4"; planner = Planner.m4_config }
 
 (* Milestone 4 with the structural-index family forced off: the
    index-vs-scan axis of the differential oracle, and the baseline the
@@ -122,11 +97,7 @@ let engine4 =
       { Planner.m4_config with use_struct = false; use_indexes = false;
         materialize = `Disk } }
 
-let engine5 =
-  { m3 with
-    name = "engine-5";
-    pool_capacity = efficiency_pool;
-    milestone = M3 }
+let engine5 = { m3 with name = "engine-5"; pool_capacity = efficiency_pool }
 
 let figure7_engines = [engine1; engine2; engine3; engine4; engine5]
 let all_presets = [m1; m2; m3; m4] @ figure7_engines

@@ -10,9 +10,12 @@
 type milestone =
   | M1  (** in-memory evaluator *)
   | M2  (** navigational secondary-storage evaluator *)
-  | M3  (** TPM algebra, heuristic plans *)
-  | M4  (** cost-based optimization and index structures *)
+  | Algebraic
+      (** milestones 3 and 4: TPM algebra compiled to physical plans;
+          the [planner] config is what tells them apart *)
 
+(** Every field backs a preset, an ablation or a Figure-7 engine (see
+    DESIGN.md, "Engine configuration"). *)
 type t = {
   name : string;
   milestone : milestone;
@@ -20,13 +23,8 @@ type t = {
   planner : Xqdb_optimizer.Planner.config;
   quality : Xqdb_optimizer.Stats.quality;
   pool_capacity : int;  (** buffer-pool frames: the "20 MB" knob *)
-  prepared_cache_capacity : int;
-      (** max prepared plans kept per engine (LRU-evicted beyond this) *)
   batch_size : int;
       (** rows per operator batch; validated by {!validate} *)
-  scan_domains : int;
-      (** domains the planner may partition a full scan across (1 =
-          sequential) *)
   retry_policy : Xqdb_storage.Retry.policy;
       (** the buffer pool's transient-disk-fault retry policy; the chaos
           harness deepens it when it cranks fault rates up *)
@@ -40,8 +38,8 @@ val max_batch_size : int
 
 val validate : t -> t
 (** Clamp [batch_size] to {!max_batch_size}.
-    @raise Invalid_argument when [batch_size <= 0] or
-    [scan_domains <= 0].  Every engine constructor applies this. *)
+    @raise Invalid_argument when [batch_size <= 0].  Every engine
+    constructor applies this. *)
 
 val m1 : t
 val m2 : t
@@ -51,8 +49,6 @@ val m4 : t
 val m4_nostruct : t
 (** Milestone 4 with [use_struct] forced off — the index-vs-scan axis of
     the differential oracle and the structural bench's baseline. *)
-
-val milestone_name : milestone -> string
 
 (* The five Figure-7 engines, ranked 1..5 as in the paper. *)
 

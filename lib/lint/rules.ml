@@ -439,12 +439,11 @@ let shared_fields (td : Parsetree.type_declaration) =
 
 (* --- L8: Domain.spawn sites ------------------------------------------------ *)
 
-(* The two sanctioned sites, as (path, top-level binding) pairs: the
-   partitioned parallel scan and the server's fixed worker pool.  Every
-   other spawn is a finding — new parallelism must either go through
-   those or be argued into this list (or the allowlist) explicitly. *)
-let sanctioned_spawns =
-  [ ("lib/physical/phys_op.ml", "par_scan_fill"); ("lib/server/server.ml", "serve") ]
+(* The one sanctioned site, as a (path, top-level binding) pair: the
+   server's fixed worker pool.  Every other spawn is a finding — new
+   parallelism must either go through it or be argued into this list
+   (or the allowlist) explicitly. *)
+let sanctioned_spawns = [("lib/server/server.ml", "serve")]
 
 let spawns_in (e : Parsetree.expression) =
   let sites = ref [] in
@@ -640,9 +639,8 @@ let gather_facts src =
                     if not (List.mem (src.path, name) sanctioned_spawns) then
                       emit "L8" loc
                         (Printf.sprintf
-                           "Domain.spawn in `%s` — parallelism goes through \
-                            Phys_op.par_scan or the Server worker pool, not ad-hoc \
-                            domains"
+                           "Domain.spawn in `%s` — parallelism goes through the \
+                            Server worker pool, not ad-hoc domains"
                            name))
                   sites;
                 check_l9 ~emit vb.pvb_expr;

@@ -40,9 +40,9 @@
       exempt; a [[@@guarded_by <lock>]] or [[@@domain_local]] attribute
       on the field, type declaration or binding declares the discipline
       and silences the rule (the attribute is the reviewed claim).
-    - {b L8} — no [Domain.spawn] outside the two sanctioned sites
-      ([Phys_op.par_scan]'s partition fill and the [Server] worker
-      pool).  L8 is per-file and so also reported by {!check_file}.
+    - {b L8} — no [Domain.spawn] outside the one sanctioned site (the
+      [Server] worker pool).  L8 is per-file and so also reported by
+      {!check_file}.
     - {b L9} — no blocking call ([Unix.sleep]/[select]/socket I/O,
       [Disk.read_page]/[write_page]/[alloc], [Wal.sync]) while a latch
       is provably held in the same top-level body, judged by textual

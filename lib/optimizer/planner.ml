@@ -878,12 +878,7 @@ let build ctx plan =
   in
   let access_op step preds =
     match step.access with
-    | Full_scan ->
-      (* A multi-domain context partitions the primary scan across
-         domains; single-domain contexts keep the streaming scan. *)
-      if ctx.Op.scan_domains > 1 then
-        Op.par_scan ctx ~domains:ctx.Op.scan_domains step.alias ~preds
-      else Op.full_scan ctx step.alias ~preds
+    | Full_scan -> Op.full_scan ctx step.alias ~preds
     | Label_scan (ntype, value) -> Op.label_scan ctx step.alias ~ntype ~value ~preds
     | Struct_scan label -> Op.struct_scan ctx step.alias ~label ~preds
   in

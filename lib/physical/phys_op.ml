@@ -9,17 +9,13 @@ type ctx = {
   mutable budget : Budget.t option;
   params : Tuple.params;
   batch_size : int;
-  scan_domains : int;
 }
-(* Owned by the query's driving domain; par_scan workers only read the
-   immutable fields and return their batches to the owner. *)
+(* Owned by the query's driving domain. *)
 [@@domain_local]
 
-let make_ctx ?budget ?(params = Tuple.no_params) ?(batch_size = 256)
-    ?(scan_domains = 1) store =
+let make_ctx ?budget ?(params = Tuple.no_params) ?(batch_size = 256) store =
   if batch_size < 1 then invalid_arg "Phys_op.make_ctx: batch_size must be positive";
-  if scan_domains < 1 then invalid_arg "Phys_op.make_ctx: scan_domains must be positive";
-  { store; pool = Store.pool store; budget; params; batch_size; scan_domains }
+  { store; pool = Store.pool store; budget; params; batch_size }
 
 let with_params ctx params = { ctx with params }
 
@@ -415,65 +411,6 @@ let singleton schema tuple =
     ~reset:(fun () -> produced := false)
     ()
 
-(* --- parallel scan ------------------------------------------------------ *)
-
-(* Partitioned clustered scan: the document's [in] space [1, root.out]
-   is split into one contiguous range per domain; each domain runs a
-   page-at-a-time primary scan of its range against the shared
-   (domain-safe) buffer pool and filters locally.  Concatenating the
-   partitions in range order is document order, so the output is
-   byte-identical to {!full_scan}.  The result is materialized once and
-   replayed across [reset]s; the cache survives rebinds unless the
-   predicates read parameter slots. *)
-let par_scan_fill ctx ~keep ~domains () =
-  if Store.tuple_count ctx.store = 0 then []
-  else begin
-    let root = Store.root_tuple ctx.store in
-    let total = root.Xasr.nout in
-    let n = max 1 (min domains total) in
-    let chunk = (total + n - 1) / n in
-    let ranges =
-      List.init n (fun d ->
-          let lo = 1 + (d * chunk) in
-          let hi = min total (lo + chunk - 1) in
-          (lo, hi))
-      |> List.filter (fun (lo, hi) -> lo <= hi)
-    in
-    let scan_range (lo, hi) () =
-      let pages = Store.scan_in_range_pages ctx.store ~lo ~hi in
-      let acc = ref [] in
-      let rec go () =
-        tick ctx;
-        match pages () with
-        | None -> ()
-        | Some arr ->
-          Array.iter
-            (fun xt ->
-              let tuple = Tuple.of_xasr xt in
-              if keep tuple then acc := tuple :: !acc)
-            arr;
-          go ()
-      in
-      go ();
-      List.rev !acc
-    in
-    match ranges with
-    | [ r ] -> scan_range r ()
-    | ranges ->
-      (* Workers charge the request that spawned them, budget included. *)
-      let scope = Xqdb_storage.Metrics.current () in
-      let spawn r = Domain.spawn (fun () -> Xqdb_storage.Metrics.with_scope scope (scan_range r)) in
-      let handles = List.map spawn ranges in
-      (* Join every domain before re-raising: an abandoned domain would
-         keep scanning against the shared pool. *)
-      let outcomes =
-        List.map (fun h -> match Domain.join h with r -> Ok r | exception e -> Error e)
-          handles
-      in
-      tick ctx;
-      List.concat_map (function Ok part -> part | Error e -> raise e) outcomes
-  end
-
 (* --- joins ------------------------------------------------------------- *)
 
 type probe =
@@ -814,20 +751,6 @@ let replay_op ~schema ~info ~kids ~clear_on_rebind ~ctx ~fill =
       if out.Tuple.len = 0 then None else Some out)
     ~reset:(fun () -> serving := None)
     ()
-
-let par_scan ctx ~domains alias ~preds =
-  if domains < 1 then invalid_arg "Phys_op.par_scan: domains must be positive";
-  let schema = Tuple.xasr_schema alias in
-  let keep = Tuple.compile_preds ~params:ctx.params schema preds in
-  replay_op ~schema ~kids:[] ~ctx
-    ~clear_on_rebind:(preds_param_dep preds)
-    ~info:
-      { name = Printf.sprintf "par-scan XASR[%s]" alias;
-        detail =
-          Printf.sprintf "domains %d" domains
-          ^ (if preds = [] then "" else "; " ^ preds_detail preds);
-        children = [] }
-    ~fill:(par_scan_fill ctx ~keep ~domains)
 
 (* Staircase join over the structural index: the label's run is loaded
    once into a sorted-by-[in] array (it never depends on parameters, so

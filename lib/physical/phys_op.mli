@@ -18,9 +18,7 @@
     - clustered-B-tree sorting ({!btree_sort}) — the students' "creative
       workaround" (approach (c));
     - disk materialization of intermediates ({!materialize}) — milestone
-      3's "write each intermediate result to disk and re-read it";
-    - partitioned multicore scan ({!par_scan}) — the full scan split
-      across OCaml domains over the domain-safe buffer pool.
+      3's "write each intermediate result to disk and re-read it".
 
     All operators poll the context's {!Xqdb_storage.Budget} (once per
     batch) so the testbed can censor over-budget plans. *)
@@ -37,19 +35,16 @@ type ctx = {
       (** parameter slots the operators compile external references
           against; [Tuple.no_params] outside a template *)
   batch_size : int;  (** rows per {!Tuple.batch} (validated positive) *)
-  scan_domains : int;
-      (** domains a {!par_scan} partitions over; 1 = sequential *)
 }
 
 val make_ctx :
   ?budget:Xqdb_storage.Budget.t ->
   ?params:Tuple.params ->
   ?batch_size:int ->
-  ?scan_domains:int ->
   Xqdb_xasr.Node_store.t ->
   ctx
-(** [batch_size] defaults to 256 rows, [scan_domains] to 1.
-    @raise Invalid_argument when either is [< 1]. *)
+(** [batch_size] defaults to 256 rows.
+    @raise Invalid_argument when it is [< 1]. *)
 
 val with_params : ctx -> Tuple.params -> ctx
 (** A derived context sharing the store/pool but compiling against the
@@ -122,12 +117,12 @@ val info_to_string : info -> string
     and elapsed time spent inside them accumulate into [stats].  The
     page I/Os are those the disks charge to the installed
     {!Xqdb_storage.Metrics.scope} — the running request's, which the
-    engine installs around a measured run and {!par_scan} workers
-    install on its behalf — so under concurrent sessions an operator is
-    never charged for another session's I/O; outside any scope operators
-    report zero I/Os.  Attribution is at batch granularity — two scope
-    reads and two clock reads per batch, not per row — which is where
-    vectorization wins back the measurement overhead.  The measurements are inclusive (a child only
+    engine installs around a measured run — so under concurrent sessions
+    an operator is never charged for another session's I/O; outside any
+    scope operators report zero I/Os.  Attribution is at batch
+    granularity — two scope reads and two clock reads per batch, not per
+    row — which is where vectorization wins back the measurement
+    overhead.  The measurements are inclusive (a child only
     runs inside its parent's call windows); {!profile} turns an operator
     tree into a tree of per-operator numbers with the exclusive share
     ([own_ios], [own_seconds]) recovered by subtracting the inputs'
@@ -184,16 +179,6 @@ val full_scan : ctx -> string -> preds:A.pred list -> t
     primary leaves are decoded per pool access and rows are staged
     straight into the output batch's columns, where the (ground) local
     predicates are evaluated in place — no per-tuple allocation. *)
-
-val par_scan : ctx -> domains:int -> string -> preds:A.pred list -> t
-(** Partitioned clustered scan: the document's [in] space is split into
-    [domains] contiguous ranges, scanned concurrently by OCaml domains
-    over the shared (domain-safe) buffer pool, filtered locally, and
-    concatenated in range order — which is document order, so the output
-    is identical to {!full_scan}.  The partitions are materialized once
-    and replayed across [reset]s; the cache survives rebinds unless
-    [preds] read parameter slots.
-    @raise Invalid_argument when [domains < 1]. *)
 
 val label_scan :
   ctx -> string -> ntype:Xqdb_xasr.Xasr.node_type -> value:string -> preds:A.pred list -> t

@@ -9,7 +9,6 @@ type config = {
   merge_relfors : bool;
   planner : Planner.config;
   batch_size : int;
-  scan_domains : int;
 }
 
 type ctx = {
@@ -58,10 +57,7 @@ let plan_pass =
       (fun ctx ir ->
         match ir with
         | Plan_ir.Tpm tpm ->
-          let base =
-            Op.make_ctx ~batch_size:ctx.config.batch_size
-              ~scan_domains:ctx.config.scan_domains ctx.store
-          in
+          let base = Op.make_ctx ~batch_size:ctx.config.batch_size ctx.store in
           let next_site = ref 0 in
           let rec go (e : A.t) : Plan_ir.phys =
             match e with

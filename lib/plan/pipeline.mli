@@ -20,8 +20,6 @@ type config = {
   planner : Xqdb_optimizer.Planner.config;
       (** its [carry_out] also selects the rewrite's vartuple shape *)
   batch_size : int;  (** rows per operator batch (validated upstream) *)
-  scan_domains : int;
-      (** domains the planner may split a full scan across (1 = off) *)
 }
 
 type ctx = {

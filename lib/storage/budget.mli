@@ -7,9 +7,9 @@
     operators poll [check] in their inner loops.
 
     A budget owns its request's {!Metrics.scope}, and its I/O count is
-    what the disks charged to that scope while it was installed — by the
-    engine around a measured run, and by par_scan workers on the run's
-    behalf.  Other sessions' I/O never charges it. *)
+    what the disks charged to that scope while the engine had it
+    installed around a measured run.  Other sessions' I/O never charges
+    it. *)
 
 type t
 

@@ -28,8 +28,8 @@ let counter name =
 let value c = Atomic.get c.value
 
 (* Outside any [with_scope] the empty scope is installed, which charges
-   nothing.  Slots are atomic: par_scan workers charge their parent
-   request's scope from their own domains. *)
+   nothing.  Slots are atomic, so a scope stays safe to charge from
+   whichever domain installs it. *)
 type scope = int Atomic.t array
 
 let scope () =

@@ -93,7 +93,7 @@ let compare_to_oracle name (oracle : Engine.result) (result : Engine.result) =
       (Printf.sprintf "%s status diverges: oracle %s, got %s" name
          (status_name o) (status_name r))
 
-let clean_trial ?(scan_domains = 1) ~index engine oracle =
+let clean_trial ~index engine oracle =
   let query_text = Xq_print.to_string (snd oracle) in
   let oracle_result, query = fst oracle, snd oracle in
   let failure = ref None in
@@ -101,99 +101,55 @@ let clean_trial ?(scan_domains = 1) ~index engine oracle =
   (match oracle_result.Engine.status with
   | Engine.Ok | Engine.Error _ -> ()
   | s -> record (Printf.sprintf "oracle status %s without a budget or faults" (status_name s)));
+  (* One checked step: run, compare against the oracle, and require the
+     engine's self-reported accounting to match what the harness
+     observes on the raw disk counters.  Skipped once a failure is on
+     record. *)
+  let check label e run =
+    if !failure = None then begin
+      let before = Disk.total_ios (Engine.disk e) in
+      match run () with
+      | result ->
+        (match compare_to_oracle label oracle_result result with
+        | Some msg -> record msg
+        | None ->
+          let observed = Disk.total_ios (Engine.disk e) - before in
+          if result.Engine.page_ios <> observed then
+            record
+              (Printf.sprintf "%s accounting diverges: reported %d page I/Os, disk saw %d"
+                 label result.Engine.page_ios observed)
+          else if result.Engine.page_ios < 0 then
+            record (Printf.sprintf "%s negative page I/O count" label))
+      | exception exn ->
+        record (Printf.sprintf "%s crashed: %s" label (Printexc.to_string exn))
+    end
+  in
+  (* Engines are derived only while no failure is on record: a crashed
+     run may have leaked pins, and [with_config] asserts quiescence. *)
+  let with_config config k = if !failure = None then k (Engine.with_config config engine) in
   List.iter
     (fun config ->
-      match !failure with
-      | Some _ -> ()
-      | None ->
-        let name = config.Engine_config.name in
-        let e = Engine.with_config config engine in
-        let before = Disk.total_ios (Engine.disk e) in
-        (match Engine.run e query with
-        | result ->
-          (match compare_to_oracle name oracle_result result with
-          | Some msg -> record msg
-          | None ->
-            (* The engine's self-reported accounting must match what the
-               harness observes on the raw disk counters. *)
-            let observed = Disk.total_ios (Engine.disk e) - before in
-            if result.Engine.page_ios <> observed then
-              record
-                (Printf.sprintf "%s accounting diverges: reported %d page I/Os, disk saw %d"
-                   name result.Engine.page_ios observed)
-            else if result.Engine.page_ios < 0 then
-              record (Printf.sprintf "%s negative page I/O count" name))
-        | exception exn ->
-          record (Printf.sprintf "%s crashed: %s" name (Printexc.to_string exn)));
-        (* Prepared-template axis: the same query prepared once and
-           executed repeatedly through parameter rebinding must keep
-           reproducing the fresh compilation's answer, with accounting
-           that still reconciles against the raw disk counters. *)
-        if !failure = None then begin
-          match Engine.prepare e query with
-          | prepared ->
-            let rerun tag =
-              if !failure = None then begin
-                let before = Disk.total_ios (Engine.disk e) in
-                match Engine.run_prepared e prepared with
-                | presult ->
-                  (match
-                     compare_to_oracle
-                       (Printf.sprintf "%s (%s)" name tag)
-                       oracle_result presult
-                   with
-                  | Some msg -> record msg
-                  | None ->
-                    let observed = Disk.total_ios (Engine.disk e) - before in
-                    if presult.Engine.page_ios <> observed then
-                      record
-                        (Printf.sprintf
-                           "%s (%s) accounting diverges: reported %d page I/Os, disk saw %d"
-                           name tag presult.Engine.page_ios observed))
-                | exception exn ->
-                  record
-                    (Printf.sprintf "%s (%s) crashed: %s" name tag
-                       (Printexc.to_string exn))
-              end
-            in
-            rerun "prepared run 1";
-            rerun "prepared run 2"
-          | exception exn ->
-            record (Printf.sprintf "%s prepare crashed: %s" name (Printexc.to_string exn))
-        end;
-        (* Batch-vs-tuple axis: the same engine at batch_size 1 runs the
-           identical operator code one row per batch — any divergence is
-           a vectorization bug, not a plan difference.  The multi-domain
-           axis does the same for the partitioned parallel scan. *)
-        if !failure = None then begin
-          let axis tag config' =
-            if !failure = None then begin
-              let e' = Engine.with_config config' engine in
-              let before = Disk.total_ios (Engine.disk e') in
-              match Engine.run e' query with
-              | result ->
-                (match
-                   compare_to_oracle (Printf.sprintf "%s (%s)" name tag) oracle_result result
-                 with
-                | Some msg -> record msg
-                | None ->
-                  let observed = Disk.total_ios (Engine.disk e') - before in
-                  if result.Engine.page_ios <> observed then
-                    record
-                      (Printf.sprintf
-                         "%s (%s) accounting diverges: reported %d page I/Os, disk saw %d"
-                         name tag result.Engine.page_ios observed))
-              | exception exn ->
-                record
-                  (Printf.sprintf "%s (%s) crashed: %s" name tag (Printexc.to_string exn))
-            end
-          in
-          axis "batch=1" { config with Engine_config.batch_size = 1 };
-          if scan_domains > 1 then
-            axis
-              (Printf.sprintf "domains=%d" scan_domains)
-              { config with Engine_config.scan_domains }
-        end)
+      let name = config.Engine_config.name in
+      with_config config (fun e ->
+          check name e (fun () -> Engine.run e query);
+          (* Prepared-template axis: the same query compiled once and
+             executed repeatedly through parameter rebinding must keep
+             reproducing the fresh compilation's answer. *)
+          if !failure = None then
+            match Engine.compile e query with
+            | prepared ->
+              List.iter
+                (fun tag ->
+                  check (Printf.sprintf "%s (%s)" name tag) e (fun () ->
+                      Engine.execute e prepared))
+                ["prepared run 1"; "prepared run 2"]
+            | exception exn ->
+              record (Printf.sprintf "%s prepare crashed: %s" name (Printexc.to_string exn)));
+      (* Batch-vs-tuple axis: the same engine at batch_size 1 runs the
+         identical operator code one row per batch — any divergence is
+         a vectorization bug, not a plan difference. *)
+      with_config { config with Engine_config.batch_size = 1 } (fun e ->
+          check (name ^ " (batch=1)") e (fun () -> Engine.run e query)))
     milestone_configs;
   match !failure with
   | None -> { index; query = query_text; ok = true; detail = "" }
@@ -263,8 +219,7 @@ let fault_trial ~fault_seed ~fault_rate ~trial_index engine oracle query =
 
 (* --- driver -------------------------------------------------------------- *)
 
-let run ?(seed = 42) ?(count = 100) ?(fault_rate = 0.) ?(fault_seeds = 1)
-    ?(scan_domains = 1) () =
+let run ?(seed = 42) ?(count = 100) ?(fault_rate = 0.) ?(fault_seeds = 1) () =
   let config = { Engine_config.m1 with Engine_config.pool_capacity = pool_frames } in
   let trials = ref [] in
   let fault_reports = ref [] in
@@ -275,7 +230,7 @@ let run ?(seed = 42) ?(count = 100) ?(fault_rate = 0.) ?(fault_seeds = 1)
        runs share a database. *)
     let engine = Engine.load_forest ~config forest in
     let oracle = Engine.run engine query in
-    trials := clean_trial ~scan_domains ~index engine (oracle, query) :: !trials;
+    trials := clean_trial ~index engine (oracle, query) :: !trials;
     if fault_rate > 0. then
       for fs = 0 to fault_seeds - 1 do
         let fault_seed = (seed * 1021) + (index * fault_seeds) + fs in

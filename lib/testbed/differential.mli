@@ -9,18 +9,17 @@
     page-I/O accounting must match the raw disk counters.
 
     Each configuration is additionally exercised along the {e prepared}
-    axis: the query is prepared once ({!Xqdb_core.Engine.prepare}) and
-    executed twice through parameter rebinding; both executions must
-    reproduce the fresh compilation's answer with reconciling
-    accounting, catching stale template caches across rebinds.
+    axis: the query is compiled once ({!Xqdb_core.Engine.compile}) and
+    executed twice ({!Xqdb_core.Engine.execute}) through parameter
+    rebinding; both executions must reproduce the fresh compilation's
+    answer with reconciling accounting, catching stale template caches
+    across rebinds.
 
     The {e batch-vs-tuple} axis reruns each configuration with
     [batch_size = 1] — the identical vectorized operators degraded to
     one row per batch — so any divergence is a vectorization bug rather
-    than a plan difference.  With [scan_domains > 1] a further axis
-    reruns each configuration with full scans partitioned across that
-    many domains; both must stay byte-identical with reconciling
-    accounting.
+    than a plan difference; it too must stay byte-identical with
+    reconciling accounting.
 
     With [fault_rate > 0] every trial is additionally swept under
     {!Xqdb_storage.Fault_disk} injection: each run must end in one of
@@ -65,12 +64,10 @@ val run :
   ?count:int ->
   ?fault_rate:float ->
   ?fault_seeds:int ->
-  ?scan_domains:int ->
   unit ->
   report
 (** Defaults: [seed 42], [count 100], [fault_rate 0.] (no fault sweep),
-    [fault_seeds 1] injector seeds per trial when sweeping,
-    [scan_domains 1] (no multi-domain axis). *)
+    [fault_seeds 1] injector seeds per trial when sweeping. *)
 
 val agreed : report -> int
 (** Trials where all milestones matched the oracle. *)

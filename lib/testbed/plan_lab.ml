@@ -24,10 +24,7 @@ let query = Xqdb_xq.Xq_parser.parse Queries.example6
 (* The laboratory studies the single merged relfor of Example 6; the
    front half of the staged pipeline (rewrite + merge) produces it. *)
 let front_config =
-  { Pipeline.merge_relfors = true;
-    planner = Planner.m4_config;
-    batch_size = 256;
-    scan_domains = 1 }
+  { Pipeline.merge_relfors = true; planner = Planner.m4_config; batch_size = 256 }
 
 let psx_of ctx =
   match Plan_ir.tpm_relfors (Pipeline.front ctx query) with

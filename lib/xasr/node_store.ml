@@ -153,12 +153,6 @@ let scan_all t =
 
 let decode_page cells = Array.map (fun (_, v) -> Xasr.decode v) cells
 
-let scan_in_range_pages t ~lo ~hi =
-  let cursor =
-    Btree.scan_range_pages ~lo:(Xasr.primary_key lo) ~hi:(Xasr.primary_key hi) t.primary
-  in
-  fun () -> Option.map decode_page (cursor ())
-
 let scan_all_pages t =
   let cursor = Btree.scan_range_pages t.primary in
   fun () -> Option.map decode_page (cursor ())

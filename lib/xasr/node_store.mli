@@ -58,12 +58,10 @@ val scan_in_range : t -> lo:int -> hi:int -> unit -> Xasr.tuple option
 
 val scan_all : t -> unit -> Xasr.tuple option
 
-val scan_in_range_pages : t -> lo:int -> hi:int -> unit -> Xasr.tuple array option
-(** Page-at-a-time variant of {!scan_in_range}: each pull pins one
-    primary leaf once and decodes all its qualifying tuples (never an
-    empty array).  Document order across pulls. *)
-
 val scan_all_pages : t -> unit -> Xasr.tuple array option
+(** Page-at-a-time variant of {!scan_all}: each pull pins one primary
+    leaf once and decodes all its tuples (never an empty array).
+    Document order across pulls. *)
 
 val children_ins : t -> int -> unit -> int option
 (** [in]s of the children of the node with the given [in], via the

@@ -34,12 +34,12 @@ let test_example2_everywhere () =
         (run_at config example2))
     Config.all_presets
 
-let test_milestone_names () =
+let test_presets () =
   Alcotest.(check int) "nine presets" 9 (List.length Config.all_presets);
   Alcotest.(check int) "five engines" 5 (List.length Config.figure7_engines);
-  List.iter
-    (fun m -> Alcotest.(check bool) "name nonempty" true (Config.milestone_name m <> ""))
-    [Config.M1; Config.M2; Config.M3; Config.M4]
+  let names = List.map (fun c -> c.Config.name) Config.all_presets in
+  Alcotest.(check int) "preset names are unique" 9
+    (List.length (List.sort_uniq String.compare names))
 
 let test_config_validation () =
   let reject what config =
@@ -49,7 +49,6 @@ let test_config_validation () =
   in
   reject "batch_size 0" { Config.m4 with Config.batch_size = 0 };
   reject "negative batch_size" { Config.m4 with Config.batch_size = -3 };
-  reject "scan_domains 0" { Config.m4 with Config.scan_domains = 0 };
   (* An oversized batch is clamped, not rejected: nothing breaks, it
      just wastes memory past the page capacity. *)
   let clamped = Config.validate { Config.m4 with Config.batch_size = 1_000_000 } in
@@ -60,23 +59,13 @@ let test_config_validation () =
     (fun c ->
       let v = Config.validate c in
       Alcotest.(check int) "preset batch size kept" c.Config.batch_size
-        v.Config.batch_size;
-      Alcotest.(check int) "preset scan domains kept" c.Config.scan_domains
-        v.Config.scan_domains)
+        v.Config.batch_size)
     Config.all_presets;
   (* Engine constructors apply validation, so a bad config cannot reach
      the operators. *)
-  (match Engine.load ~config:{ Config.m4 with Config.batch_size = 0 } W.Docs.figure2_string with
-   | _ -> Alcotest.fail "Engine.load must validate its config"
-   | exception Invalid_argument _ -> ());
-  (* An engine running parallel scans still agrees with the default. *)
-  let base = Engine.load ~config:Config.m4 W.Docs.figure2_string in
-  let par = Engine.with_config { Config.m4 with Config.scan_domains = 2 } base in
-  let answer e =
-    (Engine.run e (Xqdb_xq.Xq_parser.parse "for $n in //name return $n")).Engine.output
-  in
-  Alcotest.(check string) "2-domain engine agrees with sequential" (answer base)
-    (answer par)
+  match Engine.load ~config:{ Config.m4 with Config.batch_size = 0 } W.Docs.figure2_string with
+  | _ -> Alcotest.fail "Engine.load must validate its config"
+  | exception Invalid_argument _ -> ()
 
 (* --- the central equivalence property -------------------------------------- *)
 
@@ -211,30 +200,6 @@ let test_profile_operators () =
     (fun (name, v) ->
       Alcotest.(check bool) (name ^ " non-negative") true (v >= 0))
     p.Engine.counters
-
-(* Parallel-scan workers run on domains of their own but charge the
-   request that spawned them: on a cold pool, a 4-domain run's page I/Os
-   are exactly the disk's, and its par-scan operators carry their
-   share. *)
-let test_par_scan_charges_parent () =
-  let config = { Config.m4 with Config.scan_domains = 4 } in
-  let engine = Engine.load_forest ~config [W.Dblp_gen.generate (W.Dblp_gen.scaled 100)] in
-  let disk = Engine.disk engine in
-  Xqdb_storage.Buffer_pool.drop_all (Engine.pool engine);
-  let before = Xqdb_storage.Disk.total_ios disk in
-  let result =
-    Engine.run engine (Xqdb_xq.Xq_parser.parse "for $x in $root//* return $x")
-  in
-  let delta = Xqdb_storage.Disk.total_ios disk - before in
-  Alcotest.(check bool) "ok" true (result.Engine.status = Engine.Ok);
-  Alcotest.(check bool) "the cold run read pages" true (delta > 0);
-  Alcotest.(check int) "page_ios = disk delta" delta result.Engine.page_ios;
-  let rec par_ios (o : Engine.op_profile) =
-    (if String.starts_with ~prefix:"par-scan" o.Engine.op then o.Engine.ios else 0)
-    + List.fold_left (fun acc i -> acc + par_ios i) 0 o.Engine.inputs
-  in
-  let par = List.fold_left (fun acc o -> acc + par_ios o) 0 result.Engine.profile.Engine.operators in
-  Alcotest.(check bool) "par-scan operators charged the workers' I/O" true (par > 0)
 
 (* --- budgets and errors ------------------------------------------------------ *)
 
@@ -372,20 +337,20 @@ let test_document_accessors () =
 let test_prepared_queries () =
   let engine = Lazy.force journal_engine in
   let q = Xqdb_xq.Xq_parser.parse example2 in
-  let prepared = Engine.prepare engine q in
+  let prepared = Engine.compile engine q in
   let direct = Engine.run engine q in
-  let via_prepared = Engine.run_prepared engine prepared in
+  let via_prepared = Engine.execute engine prepared in
   Alcotest.(check string) "prepared = direct" direct.Engine.output via_prepared.Engine.output;
   (* Re-running the same prepared query agrees with itself. *)
   Alcotest.(check string) "stable across runs" via_prepared.Engine.output
-    (Engine.run_prepared engine prepared).Engine.output;
+    (Engine.execute engine prepared).Engine.output;
   (* Milestones without a compile step also prepare. *)
   let m2 = Engine.with_config Config.m2 engine in
   Alcotest.(check string) "m2 prepared" direct.Engine.output
-    (Engine.run_prepared m2 (Engine.prepare m2 q)).Engine.output;
-  (* Bad queries are rejected at prepare time. *)
-  match Engine.prepare engine (Xqdb_xq.Xq_parser.parse "$nope") with
-  | _ -> Alcotest.fail "prepare should check"
+    (Engine.execute m2 (Engine.compile m2 q)).Engine.output;
+  (* Bad queries are rejected at compile time. *)
+  match Engine.compile engine (Xqdb_xq.Xq_parser.parse "$nope") with
+  | _ -> Alcotest.fail "compile should check"
   | exception Invalid_argument _ -> ()
 
 (* --- the prepared-plan cache and compile-once planning ------------------------ *)
@@ -549,17 +514,17 @@ let test_plan_cache_lru () =
   | _ -> Alcotest.fail "zero capacity should be rejected"
   | exception Invalid_argument _ -> ()
 
-(* The cache is bounded per engine: pushing past the configured capacity
-   evicts the least-recently-used plan, which then recompiles. *)
+(* The cache is bounded per engine: pushing past its capacity evicts the
+   least-recently-used plan, which then recompiles. *)
 let test_prepared_cache_bounded () =
-  let config = { Config.m4 with Config.prepared_cache_capacity = 2 } in
-  let engine = Engine.load_forest ~config [W.Docs.figure2] in
+  let engine = Engine.load_forest ~config:Config.m4 [W.Docs.figure2] in
   let run src = Engine.run engine (Xqdb_xq.Xq_parser.parse src) in
   let ev = Metrics.counter "engine.prepared_cache_evictions" in
   let ev_before = Metrics.value ev in
   ignore (run "/journal");
-  ignore (run "for $n in //name return $n");
-  ignore (run "//name");
+  for i = 1 to Engine.plan_cache_capacity do
+    ignore (run (Printf.sprintf "<q%d/>" i))
+  done;
   Alcotest.(check bool) "eviction counted" true (Metrics.value ev > ev_before);
   Alcotest.(check int) "evicted plan recompiles" 0 (cache_hits (run "/journal"));
   Alcotest.(check int) "and caches again" 1 (cache_hits (run "/journal"))
@@ -603,20 +568,12 @@ let test_database_persistence () =
   DB.close db3;
   Sys.remove path
 
-let test_on_file_database () =
-  let path = Filename.temp_file "xqdb_core" ".db" in
-  let engine = Engine.load ~config:Config.m4 ~on_file:path W.Docs.figure2_string in
-  Alcotest.(check string) "query over file-backed store"
-    "<names><name>Ana</name><name>Bob</name></names>"
-    (Engine.run engine (Xqdb_xq.Xq_parser.parse example2)).Engine.output;
-  Sys.remove path
-
 let () =
   let prop = QCheck_alcotest.to_alcotest in
   Alcotest.run "core"
     [ ( "milestones",
         [ Alcotest.test_case "example 2 everywhere" `Quick test_example2_everywhere;
-          Alcotest.test_case "presets" `Quick test_milestone_names;
+          Alcotest.test_case "presets" `Quick test_presets;
           Alcotest.test_case "config validation" `Quick test_config_validation ] );
       ( "equivalence",
         [ prop engines_agree;
@@ -624,9 +581,7 @@ let () =
           prop merging_ablation_agrees ] );
       ( "profiles",
         [ prop profiles_reconcile;
-          Alcotest.test_case "operator breakdown" `Quick test_profile_operators;
-          Alcotest.test_case "par-scan workers charge the parent" `Quick
-            test_par_scan_charges_parent ] );
+          Alcotest.test_case "operator breakdown" `Quick test_profile_operators ] );
       ( "budgets and errors",
         [ Alcotest.test_case "censoring" `Quick test_budget_censoring;
           Alcotest.test_case "type errors" `Quick test_type_errors_reported;
@@ -643,8 +598,7 @@ let () =
         [ Alcotest.test_case "explain" `Quick test_explain;
           Alcotest.test_case "explain stages and analyze" `Quick
             test_explain_stages_and_analyze;
-          Alcotest.test_case "accessors" `Quick test_document_accessors;
-          Alcotest.test_case "file-backed database" `Quick test_on_file_database ] );
+          Alcotest.test_case "accessors" `Quick test_document_accessors ] );
       ( "databases",
         [ Alcotest.test_case "multiple documents" `Quick test_database_basics;
           Alcotest.test_case "persistence" `Quick test_database_persistence ] );

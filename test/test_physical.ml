@@ -619,89 +619,11 @@ let test_budget_partial_batches () =
   Alcotest.(check int) "partial profile keeps the delivered rows" first p.Op.rows;
   Alcotest.(check bool) "partial profile charged the I/O" true (p.Op.ios > 0)
 
-(* --- parallel scan -------------------------------------------------------- *)
-
-let test_par_scan_agrees () =
-  let disk = S.Disk.in_memory () in
-  let pool = S.Buffer_pool.create ~capacity:8 ~sanitize:true disk in
-  let store, _ =
-    X.Shredder.shred_forest pool ~name:"t"
-      [Xqdb_workload.Dblp_gen.generate (Xqdb_workload.Dblp_gen.scaled 20)]
-  in
-  ignore disk;
-  let ctx = Op.make_ctx store in
-  let seq = ins_of (Op.full_scan ctx "R" ~preds:[]) in
-  Alcotest.(check bool) "sequential baseline is non-trivial" true
-    (List.length seq > 8);
-  List.iter
-    (fun domains ->
-      let op = Op.par_scan ctx ~domains "R" ~preds:[] in
-      Alcotest.(check bool)
-        (Printf.sprintf "par_scan over %d domains preserves document order" domains)
-        true
-        (ins_of op = seq);
-      Alcotest.(check int) "replay from the merge agrees" (List.length seq)
-        (Op.count op);
-      Op.close ctx op)
-    [1; 2; 3; 4];
-  (* Predicates are evaluated inside the partitions. *)
-  let preds = [elem_pred "R"; value_pred "R" "author"] in
-  let filtered = ins_of (Op.full_scan ctx "R" ~preds) in
-  let par = Op.par_scan ctx ~domains:4 "R" ~preds in
-  Alcotest.(check bool) "filtered parallel scan agrees" true (ins_of par = filtered);
-  Op.close ctx par;
-  (* The sanitizer saw every cross-domain pin; nothing may be left. *)
-  S.Buffer_pool.assert_unpinned ~where:"par_scan" pool;
-  Alcotest.(check (list (pair int int))) "no pinned frames after par_scan" []
-    (S.Buffer_pool.pinned_pages pool)
-
-let test_par_scan_rebind () =
-  let _, base = make_store () in
-  let params = Tuple.make_params ["v"] in
-  let ctx = Op.with_params base params in
-  let op =
-    Op.par_scan ctx ~domains:2 "R"
-      ~preds:[elem_pred "R"; eq (ocol "R" A.Parent_in) (A.Oextern_in "v")]
-  in
-  Alcotest.(check bool) "extern pred makes par_scan parameter-dependent" true
-    op.Op.param_dep;
-  let children nin =
-    Tuple.bind_params params (fun _ -> (nin, 0));
-    Op.rebind op;
-    op.Op.reset ();
-    ins_of op
-  in
-  Alcotest.(check (list int)) "element children of the root" [2] (children 1);
-  Alcotest.(check (list int)) "element children of authors" [4; 8] (children 3);
-  Alcotest.(check (list int)) "rebinding back agrees" [2] (children 1)
-
-let test_par_scan_budget () =
-  let disk = S.Disk.in_memory () in
-  let pool = S.Buffer_pool.create ~capacity:4 disk in
-  let store, _ =
-    X.Shredder.shred_forest pool ~name:"t"
-      [Xqdb_workload.Dblp_gen.generate (Xqdb_workload.Dblp_gen.scaled 150)]
-  in
-  S.Buffer_pool.drop_all pool;
-  let budget = S.Budget.create ~max_page_ios:2 () in
-  let ctx = Op.make_ctx ~budget store in
-  (* Exhaustion inside a worker domain must cross the join barrier and
-     surface as the ordinary budget exception, not a crash. *)
-  match
-    S.Metrics.with_scope (S.Budget.scope budget) (fun () ->
-        Op.count (Op.par_scan ctx ~domains:3 "R" ~preds:[]))
-  with
-  | _ -> Alcotest.fail "expected exhaustion through the domain join"
-  | exception S.Budget.Exhausted _ -> ()
-
 let test_ctx_validation () =
   let _, ctx = make_store () in
   let store_of (c : Op.ctx) = c.Op.store in
   (match Op.make_ctx ~batch_size:0 (store_of ctx) with
    | _ -> Alcotest.fail "batch_size 0 must be rejected"
-   | exception Invalid_argument _ -> ());
-  (match Op.make_ctx ~scan_domains:0 (store_of ctx) with
-   | _ -> Alcotest.fail "scan_domains 0 must be rejected"
    | exception Invalid_argument _ -> ())
 
 let () =
@@ -750,9 +672,4 @@ let () =
             test_rebind_between_batches;
           Alcotest.test_case "budget censoring mid-stream" `Quick
             test_budget_partial_batches;
-          Alcotest.test_case "ctx validation" `Quick test_ctx_validation ] );
-      ( "parallel scan",
-        [ Alcotest.test_case "agrees with full scan, in order" `Quick
-            test_par_scan_agrees;
-          Alcotest.test_case "rebind across domains" `Quick test_par_scan_rebind;
-          Alcotest.test_case "budget crosses the join" `Quick test_par_scan_budget ] ) ]
+          Alcotest.test_case "ctx validation" `Quick test_ctx_validation ] ) ]

@@ -20,8 +20,7 @@ let ctx ?(merge_relfors = true) () =
   let pool = S.Buffer_pool.create disk in
   let store, doc_stats = X.Shredder.shred_forest pool ~name:"t" [W.Docs.figure2] in
   { Pipeline.config =
-      { Pipeline.merge_relfors; planner = Planner.m4_config;
-        batch_size = 256; scan_domains = 1 };
+      { Pipeline.merge_relfors; planner = Planner.m4_config; batch_size = 256 };
     stats = Stats.make store doc_stats;
     store }
 
