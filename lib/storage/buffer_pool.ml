@@ -14,8 +14,9 @@ type frame = {
   mutable pins : int;
   mutable dirty : bool;
   (* LSN of the WAL record holding this frame's current contents; 0 when
-     the latest mutation is not yet logged.  Write-back appends a record
-     only when this is 0, so a retried write-back never duplicates one. *)
+     the latest mutation is not yet logged.  Dirty frames with 0 here
+     are the pending set the next sync logs; a logged frame is not
+     appended again, so a retried write-back never duplicates a record. *)
   mutable logged_lsn : int;
   (* Intrusive LRU list links: [lru_prev] points toward the MRU head,
      [lru_next] toward the LRU tail. *)
@@ -122,8 +123,8 @@ let sanitizing t = t.sanitize
 (* Every public entry point brackets its table work with this; helpers
    below assume the mutex is already held and never re-take it.  Under
    the sanitizer the table mutex participates in lockdep: latch -> table
-   edges are expected (nested page use and mutation-time WAL logging run
-   table work under a held latch), but a table -> latch edge — waiting
+   edges are expected (nested page use runs table work under a held
+   latch), but a table -> latch edge — waiting
    on a latch while holding the table mutex — would close a cycle and is
    exactly the protocol violation the checker exists to catch. *)
 let locked t f =
@@ -190,22 +191,32 @@ let write_back t frame =
      | Some s -> Bytes.blit s 0 frame.buf 0 (Bytes.length s)
      | None -> ());
     (* WAL before data: the after-image must be durable before the page
-       itself is.  Frames whose latest contents are already logged (the
-       common case — mutation-time logging) are not re-appended, so a
-       retried write-back never duplicates a record. *)
+       itself is.  Logging happens here, at sync time, and each sync is
+       one atomic group holding the latest image of every page mutated
+       since it was last logged — this frame and every other dirty,
+       unlogged one — so at each sync the log reaches the state
+       mutation-time logging would, at one record per page per sync.
+       Frames held exclusively are skipped: they are mid-mutation, and
+       pinned, so they cannot be written back before a later group
+       logs them. *)
     (match t.wal with
      | None -> ()
      | Some wal ->
-       (* The log-and-sync pair is retried as a unit.  A torn sync may
-          have dropped this frame's pending record and rolled the log's
-          [last_lsn] back past it; in that case [logged_lsn] points at a
-          record that no longer exists, and skipping the append would
-          write the page with no durable record — violating WAL before
-          data.  So re-append whenever the frame's record is unlogged
-          ([= 0]) or fell off the log ([> last_lsn]). *)
+       (* The log-and-sync pair is retried as a unit.  A torn sync drops
+          its whole group and rolls the log's [last_lsn] back past it; a
+          [logged_lsn] beyond the [last_lsn] the unit started from
+          points at a record that no longer exists, so that frame is
+          unlogged again — skipping it would write the page with no
+          durable record, violating WAL before data. *)
        with_retries t (fun () ->
-           if frame.logged_lsn = 0 || frame.logged_lsn > Wal.last_lsn wal then
-             frame.logged_lsn <- Wal.append wal ~page_id:frame.page_id ~data:frame.buf;
+           let last = Wal.last_lsn wal in
+           let unlogged f = f.dirty && (f.logged_lsn = 0 || f.logged_lsn > last) in
+           let log f = f.logged_lsn <- Wal.append wal ~page_id:f.page_id ~data:f.buf in
+           Hashtbl.iter
+             (fun _ f ->
+               if f != frame && unlogged f && not (List.exists snd f.latch_holds) then log f)
+             t.frames;
+           if unlogged frame then log frame;
            Wal.sync wal);
        if t.sanitize && Wal.synced_lsn wal < frame.logged_lsn then
          raise
@@ -500,34 +511,19 @@ let use t page_id ~mut f =
            unpin_locked t p);
        raise e)
   end;
-  let result =
-    Fun.protect
-      ~finally:(fun () ->
-        if p.pin_latched then begin
-          p.pin_latched <- false;
-          if t.sanitize then Lock_order.after_release ~cls:t.lockdep_page ~inst:page_id;
-          Latch.release frame.latch
-        end;
-        locked t (fun () ->
-            if acquire then
-              frame.latch_holds <-
-                List.filter (fun (d', _) -> d' <> d) frame.latch_holds;
-            unpin_locked t p))
-      (fun () -> f (pin_buffer p))
-  in
-  (* Mutation-time logging: append the after-image as soon as the
-     mutation completes (after the unpin, so the sanitizer's shadow has
-     been folded into [buf]).  A callback that raises leaves the frame
-     with [logged_lsn = 0]; write-back logs it then.  Logging outside
-     [Fun.protect] keeps an injected crash out of [~finally]. *)
-  (match t.wal with
-   | None -> ()
-   | Some wal ->
-     if mut then
-       locked t (fun () ->
-           frame.logged_lsn <-
-             with_retries t (fun () -> Wal.append wal ~page_id ~data:frame.buf)));
-  result
+  Fun.protect
+    ~finally:(fun () ->
+      if p.pin_latched then begin
+        p.pin_latched <- false;
+        if t.sanitize then Lock_order.after_release ~cls:t.lockdep_page ~inst:page_id;
+        Latch.release frame.latch
+      end;
+      locked t (fun () ->
+          if acquire then
+            frame.latch_holds <-
+              List.filter (fun (d', _) -> d' <> d) frame.latch_holds;
+          unpin_locked t p))
+    (fun () -> f (pin_buffer p))
 
 let with_page t page_id f = use t page_id ~mut:false f
 let with_page_mut t page_id f = use t page_id ~mut:true f

@@ -51,13 +51,16 @@
 
     {2 Write-ahead logging}
 
-    A pool created with [~wal] logs every page mutation to the {!Wal}:
-    the after-image is appended when [with_page_mut] completes, and
-    before a dirty frame is written back the log is synced at least to
-    that frame's record (WAL before data).  A frame records the LSN of
-    its logged contents, so a write-back retried after a fault does not
-    append a duplicate record.  Under the sanitizer, writing back a page
-    whose record is not yet durable raises {!Sanitizer_violation}.
+    A pool created with [~wal] logs at sync time, not at mutation time:
+    a mutation only marks its frame dirty and unlogged.  Before a dirty
+    frame is written back, the pool appends one after-image for it and
+    for every other dirty, unlogged frame that no one holds exclusively,
+    then syncs them as one atomic group (WAL before data).  A page thus
+    costs one record per sync however often it changed in between.  A
+    frame records the LSN of its logged contents, so a write-back
+    retried after a fault does not append a duplicate record.  Under
+    the sanitizer, writing back a page whose record is not yet durable
+    raises {!Sanitizer_violation}.
 
     {2 Pin sanitizer}
 
@@ -105,7 +108,7 @@ val create :
     [retry_policy] governs the transient-fault backoff (see {!Retry});
     it must keep the whole window short — retries sleep under the
     table mutex.  [wal], when given, enables write-ahead logging of
-    every mutation. *)
+    every page this pool writes back. *)
 
 val disk : t -> Disk.t
 

@@ -4,9 +4,11 @@ type backend =
     }
   | File of {
       path : string;
-      out : out_channel;
-      inp : in_channel;
-      mutable flushed : bool;
+      (* One descriptor for reads and writes: every transfer is a
+         positioned [lseek] + [read]/[write] straight to the OS, so a
+         read always sees the latest write and there is no user-space
+         buffer to flush or invalidate. *)
+      fd : Unix.file_descr;
     }
 
 let m_torn_writes = Metrics.counter "disk.torn_writes"
@@ -69,6 +71,25 @@ let blank_page psize =
   Page.stamp_checksum page;
   page
 
+(* OCaml's [Unix] has no pread/pwrite, so position, then loop: a
+   regular file may return short counts, and the loops finish them. *)
+let pwrite fd offset buf len =
+  ignore (Unix.lseek fd offset Unix.SEEK_SET);
+  let rec go off = if off < len then go (off + Unix.write fd buf off (len - off)) in
+  go 0
+
+let pread fd offset len =
+  ignore (Unix.lseek fd offset Unix.SEEK_SET);
+  let buf = Bytes.create len in
+  let rec go off =
+    if off < len then
+      match Unix.read fd buf off (len - off) with
+      | 0 -> invalid_arg "Disk: unexpected end of file"
+      | n -> go (off + n)
+  in
+  go 0;
+  buf
+
 let do_alloc t =
   (match consult t Alloc t.count with
    | No_fault -> ()
@@ -85,10 +106,7 @@ let do_alloc t =
        m.pages <- bigger
      end;
      m.pages.(id) <- blank_page t.psize
-   | File f ->
-     seek_out f.out (id * t.psize);
-     output_bytes f.out (blank_page t.psize);
-     f.flushed <- false);
+   | File f -> pwrite f.fd (id * t.psize) (blank_page t.psize) t.psize);
   id
 
 let with_catalog_page t =
@@ -116,11 +134,10 @@ let in_memory ?(page_size = 4096) () =
 
 let on_file ?(page_size = 4096) path =
   check_page_size page_size;
-  let out = open_out_gen [Open_wronly; Open_creat; Open_trunc; Open_binary] 0o644 path in
-  let inp = open_in_bin path in
+  let fd = Unix.openfile path [Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC] 0o644 in
   with_catalog_page
     { psize = page_size;
-      backend = File { path; out; inp; flushed = true };
+      backend = File { path; fd };
       count = 0;
       reads = 0;
       writes = 0;
@@ -129,18 +146,16 @@ let on_file ?(page_size = 4096) path =
 
 let open_existing ?(page_size = 4096) path =
   check_page_size page_size;
-  let out = open_out_gen [Open_wronly; Open_binary] 0o644 path in
-  let inp = open_in_bin path in
-  let size = in_channel_length inp in
+  let fd = Unix.openfile path [Unix.O_RDWR] 0o644 in
+  let size = (Unix.fstat fd).Unix.st_size in
   if size = 0 || size mod page_size <> 0 then begin
-    close_out out;
-    close_in inp;
+    Unix.close fd;
     invalid_arg
       (Printf.sprintf "Disk.open_existing: %s has %d bytes, not a whole number of %d-byte pages"
          path size page_size)
   end;
   { psize = page_size;
-    backend = File { path; out; inp; flushed = true };
+    backend = File { path; fd };
     count = size / page_size;
     reads = 0;
     writes = 0;
@@ -159,15 +174,7 @@ let alloc t = do_alloc t
 let fetch t id =
   match t.backend with
   | Mem m -> Bytes.copy m.pages.(id)
-  | File f ->
-    if not f.flushed then begin
-      flush f.out;
-      f.flushed <- true
-    end;
-    seek_in f.inp (id * t.psize);
-    let buf = Bytes.create t.psize in
-    really_input f.inp buf 0 t.psize;
-    buf
+  | File f -> pread f.fd (id * t.psize) t.psize
 
 let read_page t id =
   check_id t id;
@@ -190,10 +197,7 @@ let read_page_raw t id =
 let persist t id buf len =
   match t.backend with
   | Mem m -> Bytes.blit buf 0 m.pages.(id) 0 len
-  | File f ->
-    seek_out f.out (id * t.psize);
-    output_bytes f.out (if len = t.psize then buf else Bytes.sub buf 0 len);
-    f.flushed <- false
+  | File f -> pwrite f.fd (id * t.psize) buf len
 
 let write_page t id buf =
   check_id t id;
@@ -221,12 +225,10 @@ let write_page t id buf =
     Metrics.incr m_writes;
     persist t id buf t.psize
 
-let sync t =
-  match t.backend with
-  | Mem _ -> ()
-  | File f ->
-    flush f.out;
-    f.flushed <- true
+(* Writes reach the OS as they happen, which is as durable as this
+   project makes anything (it survives a process crash; there is no
+   fsync), so there is nothing left to push. *)
+let sync _ = ()
 
 let counters t = { reads = t.reads; writes = t.writes; allocs = t.allocs }
 
@@ -237,7 +239,4 @@ let scope_ios s = Metrics.charged s m_reads + Metrics.charged s m_writes
 let close t =
   match t.backend with
   | Mem _ -> ()
-  | File f ->
-    flush f.out;
-    close_out f.out;
-    close_in f.inp
+  | File f -> Unix.close f.fd

@@ -89,9 +89,10 @@ val write_page : t -> int -> bytes -> unit
     so retrying the full write repairs the page. *)
 
 val sync : t -> unit
-(** Flush buffered writes to the backing file (no-op for the in-memory
-    backend).  The durability point the {!Wal} checkpoint protocol
-    relies on. *)
+(** The durability point the {!Wal} checkpoint protocol relies on.  A
+    no-op for both backends: the file backend hands every write to the
+    OS as it happens, and "durable" in this project means "survives a
+    process crash" (there is no [fsync]). *)
 
 type counters = {
   reads : int;

@@ -1,16 +1,24 @@
-(* A redo-only physical write-ahead log.
+(* A redo-only physical write-ahead log, written in atomic groups.
 
-   Records are page after-images: whenever the buffer pool finishes a
-   mutation it appends the page's full contents here, and before a dirty
-   frame is written back the log is synced up to that record.  Recovery
-   is then a blind, idempotent rewrite of every durable after-image in
-   LSN order — no undo, because a page write-back never happens before
-   its record is durable, so the database file can only be {e behind}
-   the log, never ahead of it.
+   Records are page after-images.  The buffer pool logs at sync time:
+   before a dirty frame is written back it appends one after-image for
+   every dirty page not yet logged, then syncs.  Each sync makes its
+   pending records durable as one group, closed by a commit record, and
+   recovery applies a group only once its commit record verifies.  A
+   page therefore costs one record per sync however often it changed
+   in between, and a sync that is torn part-way loses exactly its own
+   group: a surviving prefix of a group could make one page durable
+   (say, the catalog) without the pages it points to.
+
+   Recovery is a blind, idempotent rewrite of every committed
+   after-image in LSN order — no undo, because a page write-back never
+   happens before its record is durable, so the database file can only
+   be {e behind} the log, never ahead of it.
 
    The log distinguishes durable bytes (survive a crash) from pending
    bytes (appended but not yet synced; a crash drops them).  For the
-   file backend "durable" means flushed to the OS; for the in-memory
+   file backend "durable" means handed to the OS: it survives a process
+   crash, not a power cut (there is no fsync).  For the in-memory
    backend — used by the crash-point harness — the split is explicit so
    a simulated crash can discard exactly the unsynced suffix. *)
 
@@ -27,7 +35,7 @@ type backend =
   | Mem of { durable : Buffer.t }
   | File of {
       path : string;
-      mutable out : out_channel;
+      fd : Unix.file_descr;
     }
 
 type t = {
@@ -36,14 +44,16 @@ type t = {
   mutable last_lsn : int;
   mutable synced_lsn : int;
   (* Encoded records appended but not yet durable, newest first. *)
-  mutable pending : (int * bytes) list;
+  mutable pending : bytes list;
   mutable pending_bytes : int;
+  (* The end of the last committed group.  Bytes past it are a torn
+     group's remains; the next sync writes over them. *)
   mutable durable_size : int;
   mutable injector : (op -> fault) option;
   mutable no_sync : bool;
 }
-(* Append/sync run under the owning pool's table mutex (mutation-time
-   logging and write-back both happen inside the pool's bracket). *)
+(* Append/sync run under the owning pool's table mutex (write-back
+   logs and syncs inside the pool's bracket). *)
 [@@guarded_by pool_table_lock]
 
 type replay_stats = {
@@ -71,15 +81,11 @@ let make backend durable_size =
 let in_memory () = make (Mem { durable = Buffer.create 4096 }) 0
 
 let on_file path =
-  let out = open_out_gen [Open_wronly; Open_creat; Open_trunc; Open_binary] 0o644 path in
-  make (File { path; out }) 0
+  make (File { path; fd = Unix.openfile path [Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC] 0o644 }) 0
 
 let open_existing path =
-  let out = open_out_gen [Open_append; Open_creat; Open_binary] 0o644 path in
-  let inp = open_in_bin path in
-  let size = in_channel_length inp in
-  close_in inp;
-  make (File { path; out }) size
+  let fd = Unix.openfile path [Unix.O_RDWR; Unix.O_CREAT] 0o644 in
+  make (File { path; fd }) (Unix.fstat fd).Unix.st_size
 
 let set_injector t injector = t.injector <- injector
 
@@ -95,19 +101,22 @@ let unsafe_no_sync t flag = t.no_sync <- flag
 
 (* --- record encoding ---------------------------------------------------
 
-   [ kind:u8=1 | lsn:i64 LE | page_id:u32 | len:u32 | payload | crc:u32 ]
+   [ kind:u8 | lsn:i64 LE | page_id:u32 | len:u32 | payload | crc:u32 ]
 
-   The CRC covers everything before it, so a record whose tail never
-   reached the disk — a torn log write — fails verification and marks
-   the end of the replayable prefix. *)
+   kind 1 is a page after-image; kind 2 closes a group (page id 0, no
+   payload, the LSN of the group's last record).  The CRC covers
+   everything before it, so a record whose tail never reached the disk
+   — a torn log write — fails verification and ends the replayable
+   prefix. *)
 
-let record_kind = 1
+let page_kind = 1
+let commit_kind = 2
 let header_len = 17
 
-let encode ~lsn ~page_id ~data =
+let encode ~kind ~lsn ~page_id ~data =
   let plen = Bytes.length data in
   let buf = Bytes.create (header_len + plen + 4) in
-  Bytes.set_uint8 buf 0 record_kind;
+  Bytes.set_uint8 buf 0 kind;
   Bytes.set_int64_le buf 1 (Int64.of_int lsn);
   Page.set_u32 buf 9 page_id;
   Page.set_u32 buf 13 plen;
@@ -123,25 +132,31 @@ let append t ~page_id ~data =
   let lsn = t.next_lsn in
   t.next_lsn <- lsn + 1;
   t.last_lsn <- lsn;
-  let record = encode ~lsn ~page_id ~data in
-  t.pending <- (lsn, record) :: t.pending;
+  let record = encode ~kind:page_kind ~lsn ~page_id ~data in
+  t.pending <- record :: t.pending;
   t.pending_bytes <- t.pending_bytes + Bytes.length record;
   Metrics.incr m_appends;
   lsn
 
 (* --- durability --------------------------------------------------------- *)
 
-let persist_durable t chunks =
-  List.iter
-    (fun chunk ->
-      t.durable_size <- t.durable_size + Bytes.length chunk;
-      match t.backend with
-      | Mem m -> Buffer.add_bytes m.durable chunk
-      | File f -> output_bytes f.out chunk)
-    chunks;
+let rec write_all fd buf off len =
+  if len > 0 then begin
+    let n = Unix.write fd buf off len in
+    write_all fd buf (off + n) (len - n)
+  end
+
+(* Write [chunks] at the end of the last committed group, replacing
+   whatever a torn sync left there. *)
+let write_tail t chunks =
   match t.backend with
-  | Mem _ -> ()
-  | File f -> flush f.out
+  | Mem m ->
+    Buffer.truncate m.durable t.durable_size;
+    List.iter (Buffer.add_bytes m.durable) chunks
+  | File f ->
+    Unix.ftruncate f.fd t.durable_size;
+    ignore (Unix.lseek f.fd t.durable_size Unix.SEEK_SET);
+    List.iter (fun c -> write_all f.fd c 0 (Bytes.length c)) chunks
 
 let clear_pending t =
   t.pending <- [];
@@ -149,36 +164,28 @@ let clear_pending t =
 
 let sync t =
   if (not t.no_sync) && t.pending <> [] then begin
+    let commit =
+      encode ~kind:commit_kind ~lsn:t.last_lsn ~page_id:0 ~data:Bytes.empty
+    in
+    let group = List.rev_append t.pending [commit] in
     match consult t Sync with
     | Fail msg -> raise (Disk.Disk_error msg)
     | Torn msg ->
-      (* A torn sync: the older half of the pending records reach the
-         disk whole, plus a damaged prefix of the next one — the torn
-         log tail recovery must skip.  Everything else is lost, as it
-         would be in a crash moments later. *)
-      let recs = List.rev t.pending in
-      let keep = List.length recs / 2 in
-      let rec split i = function
-        | [] -> ([], None)
-        | (lsn, r) :: rest ->
-          if i < keep then
-            let whole, half = split (i + 1) rest in
-            ((lsn, r) :: whole, half)
-          else ([], Some r)
-      in
-      let whole, half = split 0 recs in
-      persist_durable t (List.map snd whole);
-      (match half with
-       | Some r -> persist_durable t [Bytes.sub r 0 (Bytes.length r / 2)]
-       | None -> ());
-      (match List.rev whole with
-       | (lsn, _) :: _ -> t.synced_lsn <- lsn
-       | [] -> ());
+      (* A torn sync: the older half of the group reaches the disk
+         whole, plus a damaged prefix of the next record; the commit
+         record never does, so recovery drops the whole group.  The rest
+         is lost, as it would be in a crash moments later. *)
+      let keep = List.length group / 2 in
+      let torn = List.nth group keep in
+      write_tail t
+        (List.filteri (fun i _ -> i < keep) group
+         @ [Bytes.sub torn 0 (Bytes.length torn / 2)]);
       t.last_lsn <- t.synced_lsn;
       clear_pending t;
       raise (Disk.Disk_error msg)
     | No_fault ->
-      persist_durable t (List.rev_map snd t.pending);
+      write_tail t group;
+      t.durable_size <- t.durable_size + t.pending_bytes + Bytes.length commit;
       clear_pending t;
       t.synced_lsn <- t.last_lsn;
       Metrics.incr m_syncs
@@ -189,12 +196,8 @@ let crash_discard t =
   t.last_lsn <- t.synced_lsn
 
 let checkpoint t =
-  (match t.backend with
-   | Mem m -> Buffer.clear m.durable
-   | File f ->
-     close_out f.out;
-     f.out <- open_out_gen [Open_wronly; Open_creat; Open_trunc; Open_binary] 0o644 f.path);
   t.durable_size <- 0;
+  write_tail t [];
   clear_pending t;
   t.synced_lsn <- t.last_lsn;
   Metrics.incr m_checkpoints
@@ -204,67 +207,65 @@ let checkpoint t =
 let durable_bytes t =
   match t.backend with
   | Mem m -> Buffer.to_bytes m.durable
-  | File f ->
-    flush f.out;
-    let inp = open_in_bin f.path in
-    let n = in_channel_length inp in
-    let buf = Bytes.create n in
-    really_input inp buf 0 n;
-    close_in inp;
-    buf
+  | File f -> Bytes.of_string (In_channel.with_open_bin f.path In_channel.input_all)
 
-(* Explicit bounds and CRC checks, not exception handling: every exit
-   from the decode loop names the reason the remaining bytes are not a
-   record. *)
+(* The record at [pos] as (kind, lsn, page_id, payload length, end), or
+   [None] when the bytes there are not a whole, verified record of a
+   known kind.  Explicit bounds and CRC checks, not exception handling. *)
+let decode data pos =
+  let len = Bytes.length data in
+  if pos + header_len + 4 > len then None
+  else begin
+    let kind = Bytes.get_uint8 data pos in
+    let plen = Page.get_u32 data (pos + 13) in
+    let body = header_len + plen in
+    if (kind <> page_kind && kind <> commit_kind) || pos + body + 4 > len then None
+    else if
+      not
+        (Int.equal (Page.get_u32 data (pos + body))
+           (Crc32.finish (Crc32.feed Crc32.start data pos body)))
+    then None
+    else
+      Some
+        ( kind,
+          Int64.to_int (Bytes.get_int64_le data (pos + 1)),
+          Page.get_u32 data (pos + 9),
+          plen,
+          pos + body + 4 )
+end
+
 let replay t ~apply =
   let data = durable_bytes t in
-  let len = Bytes.length data in
-  let pos = ref 0 in
   let applied = ref 0 in
-  let complete = ref true in
-  let running = ref true in
-  while !running do
-    if !pos >= len then running := false
-    else if !pos + header_len + 4 > len then begin
-      complete := false;
-      running := false
-    end
-    else begin
-      let kind = Bytes.get_uint8 data !pos in
-      let plen = Page.get_u32 data (!pos + 13) in
-      if kind <> record_kind || !pos + header_len + plen + 4 > len then begin
-        complete := false;
-        running := false
-      end
-      else begin
-        let body = header_len + plen in
-        let stored = Page.get_u32 data (!pos + body) in
-        let crc = Crc32.finish (Crc32.feed Crc32.start data !pos body) in
-        if not (Int.equal stored crc) then begin
-          complete := false;
-          running := false
-        end
-        else begin
-          let lsn = Int64.to_int (Bytes.get_int64_le data (!pos + 1)) in
-          let page_id = Page.get_u32 data (!pos + 9) in
-          apply ~lsn ~page_id (Bytes.sub data (!pos + header_len) plen);
-          incr applied;
-          Metrics.incr m_replayed;
-          if lsn > t.last_lsn then begin
-            t.last_lsn <- lsn;
-            t.synced_lsn <- lsn;
-            t.next_lsn <- lsn + 1
-          end;
-          pos := !pos + body + 4
-        end
-      end
-    end
-  done;
-  { applied = !applied; discarded_bytes = len - !pos; torn_tail = not !complete }
+  let commit group =
+    List.iter
+      (fun (lsn, page_id, pos, plen) ->
+        apply ~lsn ~page_id (Bytes.sub data (pos + header_len) plen);
+        incr applied;
+        Metrics.incr m_replayed;
+        if lsn > t.last_lsn then begin
+          t.last_lsn <- lsn;
+          t.synced_lsn <- lsn;
+          t.next_lsn <- lsn + 1
+        end)
+      (List.rev group)
+  in
+  (* [group]: the open group's records, newest first; they are applied
+     only when its commit record verifies.  Returns the end of the last
+     committed group. *)
+  let rec scan pos committed group =
+    match decode data pos with
+    | Some (kind, lsn, page_id, plen, next) when kind = page_kind ->
+      scan next committed ((lsn, page_id, pos, plen) :: group)
+    | Some (_, _, _, _, next) ->
+      commit group;
+      scan next next []
+    | None -> committed
+  in
+  let discarded = Bytes.length data - scan 0 0 [] in
+  { applied = !applied; discarded_bytes = discarded; torn_tail = discarded > 0 }
 
 let close t =
   match t.backend with
   | Mem _ -> ()
-  | File f ->
-    flush f.out;
-    close_out f.out
+  | File f -> Unix.close f.fd

@@ -1,11 +1,14 @@
-(** A redo-only physical write-ahead log.
+(** A redo-only physical write-ahead log, written in atomic groups.
 
-    The {!Buffer_pool} appends a page's full after-image after every
-    mutation and syncs the log before writing the page back, so the
-    database file is never ahead of the durable log.  Recovery
-    ({!replay}) blindly rewrites every durable after-image in LSN order
-    — idempotent, so recovering twice (or crashing during recovery and
-    recovering again) is safe.
+    The {!Buffer_pool} logs at sync time: before writing a dirty page
+    back it appends one full after-image for every dirty page not yet
+    logged, then syncs, so the database file is never ahead of the
+    durable log.  Each {!sync} makes its pending records durable as one
+    group closed by a commit record, and recovery ({!replay}) applies a
+    group only once its commit record verifies, so a torn sync loses
+    exactly its own group.  Replay blindly rewrites every committed
+    after-image in LSN order — idempotent, so recovering twice (or
+    crashing during recovery and recovering again) is safe.
 
     Record layout, little-endian:
 
@@ -13,9 +16,16 @@
     [ kind:u8 | lsn:i64 | page_id:u32 | len:u32 | payload | crc:u32 ]
     v}
 
+    Kind 1 is a page after-image; kind 2 is a group's commit record
+    (page id 0, empty payload, the LSN of the group's last record).
     The trailing CRC-32 covers everything before it; a record that fails
     it (a torn log write) ends the replayable prefix, and the bytes
-    after it are discarded.
+    after the last commit record are discarded.  A log holding no
+    commit record (as every log written before groups existed) replays
+    as empty.
+
+    "Durable" means handed to the OS: a synced group survives a process
+    crash, not a power cut — there is no [fsync].
 
     Like {!Disk}, a log can misbehave on demand via {!set_injector} —
     the seam the {!Crash_point} harness uses to crash a workload between
@@ -31,9 +41,11 @@ type fault =
   | No_fault
   | Fail of string  (** raise {!Disk.Disk_error} without logging *)
   | Torn of string
-      (** sync only: persist the older half of the pending records plus
-          a damaged prefix of the next, drop the rest, then raise
-          {!Disk.Disk_error}; treated as [Fail] on append *)
+      (** sync only: persist the older half of the group (its pending
+          records and commit record) plus a damaged prefix of the next
+          record, drop the rest, then raise {!Disk.Disk_error}; the
+          commit record never lands, so replay drops the group.
+          Treated as [Fail] on append *)
 
 val in_memory : unit -> t
 (** A log whose "durable" store is a buffer in this process — the
@@ -56,10 +68,12 @@ val append : t -> page_id:int -> data:bytes -> int
     appended). *)
 
 val sync : t -> unit
-(** Make every pending record durable.  No-op when nothing is pending.
-    @raise Disk.Disk_error on an injected fault; a torn sync leaves a
-    prefix of the pending records durable (possibly ending mid-record)
-    and drops the rest. *)
+(** Make every pending record durable as one group, closed by a commit
+    record.  No-op when nothing is pending.  The group is written where
+    the last committed group ends, over any torn remains.
+    @raise Disk.Disk_error on an injected fault; a torn sync leaves an
+    uncommitted prefix of the group (ending mid-record) that replay
+    skips, and drops the pending records. *)
 
 val last_lsn : t -> int
 (** The LSN of the newest appended record; 0 for an empty log. *)
@@ -80,15 +94,17 @@ val checkpoint : t -> unit
 
 type replay_stats = {
   applied : int;  (** records replayed *)
-  discarded_bytes : int;  (** torn/garbage tail bytes skipped *)
-  torn_tail : bool;  (** whether the log ended mid-record *)
+  discarded_bytes : int;  (** bytes after the last committed group *)
+  torn_tail : bool;  (** whether the log ended in anything but a commit record *)
 }
 
 val replay : t -> apply:(lsn:int -> page_id:int -> bytes -> unit) -> replay_stats
-(** Decode the durable log and feed each after-image to [apply] in LSN
-    order, stopping at the first record that is truncated or fails its
-    CRC.  Also advances this log's LSN counters past the highest LSN
-    seen, so appends after recovery do not reuse LSNs. *)
+(** Decode the durable log and feed each committed after-image to
+    [apply] in LSN order, stopping at the first record that is
+    truncated or fails its CRC; the records of a group whose commit
+    record never verified are not applied.  Also advances this log's
+    LSN counters past the highest LSN applied, so appends after
+    recovery do not reuse LSNs. *)
 
 val crash_discard : t -> unit
 (** Simulate the crash: drop every pending (unsynced) record, leaving
@@ -101,4 +117,4 @@ val unsafe_no_sync : t -> bool -> unit
     exercised. *)
 
 val close : t -> unit
-(** Flush and close the backing file, if any. *)
+(** Close the backing file, if any. *)

@@ -55,6 +55,12 @@ type leg = {
   p99_ms : float;
 }
 
+type wal_faults = {
+  append_faults : int;
+  sync_faults : int;
+  torn_syncs : int;
+}
+
 type report = {
   chaos_seed : int;
   chaos_sessions : int;
@@ -66,6 +72,7 @@ type report = {
   retry_giveups : int;
   wal_rounds : int;
   wal_retry_attempts : int;
+  wal_faults : wal_faults;
   baseline : leg;
   chaos : leg;
   p99_ratio : float;
@@ -302,10 +309,12 @@ let scratch_doc =
   "<scratch><a>one</a><b>two</b><c>three</c><d><e>deep</e></d></scratch>"
 
 (* Single-threaded load/drop/checkpoint cycles on a scratch file
-   database with WAL append/sync faults injected — one deterministic
-   torn sync (exercising the write-back re-append), the rest seeded
-   transient failures.  Returns (rounds, retry.attempts delta,
-   violations). *)
+   database with WAL append/sync faults injected.  The pool logs only
+   when it syncs, so the leg sees few appends; one fault of each kind is
+   therefore deterministic — the first append fails, the second sync is
+   torn (exercising the write-back re-append) and the fourth fails — and
+   seeded transient failures come on top.  Returns (rounds,
+   retry.attempts delta, faults injected, violations). *)
 let wal_leg ~seed ~rounds =
   let path = Filename.temp_file "xqdb_chaos" ".db" in
   let wal_path = path ^ ".wal" in
@@ -316,6 +325,7 @@ let wal_leg ~seed ~rounds =
   Fun.protect ~finally:cleanup (fun () ->
       let attempts0 = global "retry.attempts" in
       let violations = ref [] in
+      let append_faults = ref 0 and sync_faults = ref 0 and torn_syncs = ref 0 in
       let db = Database.create ~config:chaos_config ~on_file:path () in
       (match Database.wal db with
        | None ->
@@ -323,25 +333,32 @@ let wal_leg ~seed ~rounds =
          Database.close db
        | Some wal ->
          let rng = Random.State.make [| seed; 0x3a1f |] in
-         let syncs = ref 0 in
+         let draw p = Random.State.float rng 1.0 < p in
+         let syncs = ref 0 and appends = ref 0 in
+         let fail counter msg =
+           incr counter;
+           Wal.Fail msg
+         in
          Wal.set_injector wal
            (Some
               (fun op ->
                 match op with
                 | Wal.Sync ->
                   incr syncs;
-                  (* One deterministic torn sync early on: the pending
-                     records are dropped, so the write-back must
-                     re-append before its retried sync. *)
-                  if !syncs = 2 then Wal.Torn "chaos: torn sync"
-                  else if Random.State.float rng 1.0 < 0.1 then
-                    Wal.Fail "chaos: transient sync fault"
+                  (* The torn sync drops its whole group, so the
+                     write-back must re-append before its retried sync. *)
+                  if !syncs = 2 then begin
+                    incr torn_syncs;
+                    Wal.Torn "chaos: torn sync"
+                  end
+                  else if draw 0.1 || !syncs = 4 then
+                    fail sync_faults "chaos: transient sync fault"
                   else Wal.No_fault
                 | Wal.Append ->
-                  if Random.State.float rng 1.0 < 0.05 then
-                    Wal.Fail "chaos: transient append fault"
-                  else Wal.No_fault))
-           ;
+                  incr appends;
+                  if draw 0.05 || !appends = 1 then
+                    fail append_faults "chaos: transient append fault"
+                  else Wal.No_fault));
          (try
             for round = 1 to rounds do
               let name = Printf.sprintf "scratch%d" round in
@@ -365,7 +382,10 @@ let wal_leg ~seed ~rounds =
               Printf.sprintf "WAL leg: post-fault open_file failed: %s"
                 (Printexc.to_string e)
               :: !violations));
-      (rounds, global "retry.attempts" - attempts0, List.rev !violations))
+      ( rounds,
+        global "retry.attempts" - attempts0,
+        { append_faults = !append_faults; sync_faults = !sync_faults; torn_syncs = !torn_syncs },
+        List.rev !violations ))
 
 (* --- the full run ---------------------------------------------------------- *)
 
@@ -406,7 +426,7 @@ let run ?(profile = Transient) ?(max_p99_ratio = 200.0) ~sessions ~requests ~see
   Storage.Fault_disk.detach injector;
   let retry_attempts = global "retry.attempts" - attempts0 in
   let retry_giveups = global "retry.giveups" - giveups0 in
-  let wal_rounds, wal_retry_attempts, wal_violations = wal_leg ~seed ~rounds:8 in
+  let wal_rounds, wal_retry_attempts, wal_faults, wal_violations = wal_leg ~seed ~rounds:8 in
   let p99_ratio =
     if baseline.p99_ms > 0. then chaos.p99_ms /. baseline.p99_ms else 1.0
   in
@@ -442,9 +462,19 @@ let run ?(profile = Transient) ?(max_p99_ratio = 200.0) ~sessions ~requests ~see
          [Printf.sprintf "chaos p99 degraded %.1fx (bound %.1fx)" p99_ratio max_p99_ratio]
        else [])
     @ wal_violations
+    @ (if wal_faults.append_faults = 0 || wal_faults.sync_faults = 0 || wal_faults.torn_syncs = 0
+       then
+         [Printf.sprintf
+            "WAL leg: a fault kind never fired (append %d, sync %d, torn sync %d)"
+            wal_faults.append_faults wal_faults.sync_faults wal_faults.torn_syncs]
+       else [])
     @
-    if wal_retry_attempts <= 0 then
-      ["WAL leg: retry.attempts stayed 0 — the injected log faults were never retried"]
+    (* Each injected fault the leg survived cost at least one retry; any
+       fewer attempts means some fault was absorbed without one. *)
+    let injected = wal_faults.append_faults + wal_faults.sync_faults + wal_faults.torn_syncs in
+    if wal_retry_attempts < injected then
+      [Printf.sprintf "WAL leg: %d log fault(s) injected but only %d retry attempt(s)"
+         injected wal_retry_attempts]
     else []
   in
   { chaos_seed = seed;
@@ -457,6 +487,7 @@ let run ?(profile = Transient) ?(max_p99_ratio = 200.0) ~sessions ~requests ~see
     retry_giveups;
     wal_rounds;
     wal_retry_attempts;
+    wal_faults;
     baseline;
     chaos;
     p99_ratio;
@@ -482,8 +513,10 @@ let render r =
        "  faults injected %d  retry attempts %d  giveups %d  p99 ratio %.1fx\n"
        r.faults_injected r.retry_attempts r.retry_giveups r.p99_ratio);
   Buffer.add_string buf
-    (Printf.sprintf "  wal leg: %d round(s), retry attempts %d\n" r.wal_rounds
-       r.wal_retry_attempts);
+    (Printf.sprintf
+       "  wal leg: %d round(s), faults: append %d  sync %d  torn sync %d, retry attempts %d\n"
+       r.wal_rounds r.wal_faults.append_faults r.wal_faults.sync_faults
+       r.wal_faults.torn_syncs r.wal_retry_attempts);
   (match r.violations with
    | [] -> Buffer.add_string buf "  PASS: no violations\n"
    | vs ->

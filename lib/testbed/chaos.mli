@@ -53,6 +53,13 @@ type leg = {
   p99_ms : float;
 }
 
+(** Log faults injected in the WAL leg, by kind. *)
+type wal_faults = {
+  append_faults : int;
+  sync_faults : int;  (** failed (not torn) syncs *)
+  torn_syncs : int;
+}
+
 type report = {
   chaos_seed : int;
   chaos_sessions : int;
@@ -67,6 +74,7 @@ type report = {
   retry_giveups : int;
   wal_rounds : int;
   wal_retry_attempts : int;  (** [retry.attempts] delta in the WAL leg *)
+  wal_faults : wal_faults;
   baseline : leg;
   chaos : leg;
   p99_ratio : float;  (** chaos p99 / baseline p99 *)

@@ -286,7 +286,7 @@ let cell_json (c : Efficiency.cell) =
 
 (* Bumped on every schema change; reports are regenerated, never
    migrated, so only the current version validates. *)
-let schema_version = 8
+let schema_version = 9
 
 let bench_json ~kind extra ~results =
   Obj
@@ -413,6 +413,9 @@ let chaos_json (r : Chaos.report) =
       ("retry_giveups", Int r.Chaos.retry_giveups);
       ("wal_rounds", Int r.Chaos.wal_rounds);
       ("wal_retry_attempts", Int r.Chaos.wal_retry_attempts);
+      ("wal_append_faults", Int r.Chaos.wal_faults.Chaos.append_faults);
+      ("wal_sync_faults", Int r.Chaos.wal_faults.Chaos.sync_faults);
+      ("wal_torn_syncs", Int r.Chaos.wal_faults.Chaos.torn_syncs);
       ("p99_ratio", Float r.Chaos.p99_ratio);
       ("violations", Arr (List.map (fun v -> Str v) r.Chaos.violations)) ]
     ~results:(List.map leg_json [r.Chaos.baseline; r.Chaos.chaos])

@@ -568,6 +568,29 @@ let test_database_persistence () =
   DB.close db3;
   Sys.remove path
 
+(* A file database larger than its pool reads back pages it wrote back
+   earlier in the same run; every such read must see the latest write.
+   Reads through a buffer that writes never invalidated used to return
+   stale page images here and fail with "index out of bounds". *)
+let test_file_backed_small_pool () =
+  let forest = [W.Dblp_gen.generate (W.Dblp_gen.scaled 400)] in
+  let q = Xqdb_xq.Xq_parser.parse "for $x in //article return for $t in $x/title return $t" in
+  let config = { Config.m4 with Config.pool_capacity = 48 } in
+  let mem = DB.create ~config () in
+  ignore (DB.load_forest mem ~name:"dblp" forest);
+  let expected = (DB.run mem ~name:"dblp" q).Engine.output in
+  DB.close mem;
+  let path = Filename.temp_file "xqdb_small_pool" ".db" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [path; path ^ ".wal"])
+    (fun () ->
+      let db = DB.create ~config ~on_file:path () in
+      ignore (DB.load_forest db ~name:"dblp" forest);
+      Alcotest.(check string) "file-backed answer matches in-memory" expected
+        (DB.run db ~name:"dblp" q).Engine.output;
+      DB.close db)
+
 let () =
   let prop = QCheck_alcotest.to_alcotest in
   Alcotest.run "core"
@@ -601,7 +624,9 @@ let () =
           Alcotest.test_case "accessors" `Quick test_document_accessors ] );
       ( "databases",
         [ Alcotest.test_case "multiple documents" `Quick test_database_basics;
-          Alcotest.test_case "persistence" `Quick test_database_persistence ] );
+          Alcotest.test_case "persistence" `Quick test_database_persistence;
+          Alcotest.test_case "file-backed, larger than its pool" `Quick
+            test_file_backed_small_pool ] );
       ( "prepared cache",
         [ Alcotest.test_case "epoch invalidation" `Quick test_prepared_cache_invalidation;
           Alcotest.test_case "LRU mechanics" `Quick test_plan_cache_lru;

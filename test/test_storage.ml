@@ -1279,7 +1279,17 @@ let test_wal_append_replay () =
 let test_wal_torn_tail () =
   let wal = S.Wal.in_memory () in
   let payload i = Bytes.make 24 (Char.chr (Char.code 'A' + i)) in
-  for i = 0 to 3 do
+  let replayed () =
+    let seen = ref [] in
+    let stats = S.Wal.replay wal ~apply:(fun ~lsn ~page_id:_ _ -> seen := lsn :: !seen) in
+    (stats, List.rev !seen)
+  in
+  (* A first group reaches the log whole. *)
+  for i = 0 to 1 do
+    ignore (S.Wal.append wal ~page_id:i ~data:(payload i))
+  done;
+  S.Wal.sync wal;
+  for i = 2 to 5 do
     ignore (S.Wal.append wal ~page_id:i ~data:(payload i))
   done;
   S.Wal.set_injector wal
@@ -1288,20 +1298,28 @@ let test_wal_torn_tail () =
    | () -> Alcotest.fail "torn sync should raise"
    | exception S.Disk.Disk_error _ -> ());
   S.Wal.set_injector wal None;
-  (* Half the records landed whole, plus a damaged prefix of the next:
-     replay must apply exactly the whole ones and flag the torn tail. *)
-  let count = ref 0 in
-  let stats = S.Wal.replay wal ~apply:(fun ~lsn:_ ~page_id:_ _ -> incr count) in
-  Alcotest.(check int) "whole records replayed" 2 stats.S.Wal.applied;
+  (* Half the second group landed whole, plus a damaged prefix of the
+     next record, but never its commit record: replay must apply none of
+     that group, keep the first one intact and flag the torn tail. *)
+  let stats, lsns = replayed () in
+  Alcotest.(check (list int)) "only the committed group replayed" [1; 2] lsns;
   Alcotest.(check bool) "torn tail detected" true stats.S.Wal.torn_tail;
   Alcotest.(check bool) "torn bytes discarded" true (stats.S.Wal.discarded_bytes > 0);
+  Alcotest.(check int) "synced LSN rolled back to the committed group" 2
+    (S.Wal.synced_lsn wal);
   (* Replay is idempotent: a second pass sees the same durable prefix. *)
-  let stats2 = S.Wal.replay wal ~apply:(fun ~lsn:_ ~page_id:_ _ -> incr count) in
-  Alcotest.(check int) "second replay identical" 2 stats2.S.Wal.applied;
-  Alcotest.(check int) "both passes applied" 4 !count;
-  (* Appending after recovery continues past the survivors. *)
+  let stats2, lsns2 = replayed () in
+  Alcotest.(check (list int)) "second replay identical" lsns lsns2;
+  Alcotest.(check int) "same bytes discarded" stats.S.Wal.discarded_bytes
+    stats2.S.Wal.discarded_bytes;
+  (* Appending after recovery continues past the survivors, and the next
+     group is written over the torn remains. *)
   let lsn = S.Wal.append wal ~page_id:9 ~data:(payload 0) in
-  Alcotest.(check bool) "fresh LSN beyond survivors" true (lsn > S.Wal.synced_lsn wal)
+  Alcotest.(check bool) "fresh LSN beyond survivors" true (lsn > S.Wal.synced_lsn wal);
+  S.Wal.sync wal;
+  let stats3, lsns3 = replayed () in
+  Alcotest.(check (list int)) "next group follows the first" [1; 2; lsn] lsns3;
+  Alcotest.(check bool) "torn remains overwritten" false stats3.S.Wal.torn_tail
 
 let test_wal_replay_idempotent_on_disk () =
   (* Double recovery must leave the pages byte-identical to single
@@ -1366,10 +1384,11 @@ let test_wal_retry_no_duplicate_append () =
   let pool = S.Buffer_pool.create ~capacity:4 ~wal disk in
   let p = S.Buffer_pool.alloc_page pool in
   let appends_before = S.Wal.last_lsn wal in
-  (* The mutation itself logs the after-image... *)
+  (* The mutation itself logs nothing: logging waits for the sync... *)
   S.Buffer_pool.with_page_mut pool p (fun buf -> Bytes.set buf 0 'q');
-  Alcotest.(check int) "mutation logged once" 1 (S.Wal.last_lsn wal - appends_before);
-  (* ...so the faulting write-back retries must reuse that record. *)
+  Alcotest.(check int) "mutation appends nothing" 0 (S.Wal.last_lsn wal - appends_before);
+  (* ...which the write-back runs once, however often the page write
+     behind it is retried. *)
   let remaining = ref 2 in
   S.Disk.set_injector disk
     (Some (fun op _ ->
@@ -1382,11 +1401,58 @@ let test_wal_retry_no_duplicate_append () =
   S.Disk.set_injector disk None;
   Alcotest.(check char) "write-back landed after retries" 'q'
     (Bytes.get (S.Disk.read_page disk p) 0);
-  Alcotest.(check int) "retries appended no duplicate records" 1
+  Alcotest.(check int) "faulting write-back appended exactly one record" 1
     (S.Wal.last_lsn wal - appends_before);
   (* A clean frame re-flushed appends nothing either. *)
   S.Buffer_pool.flush_all pool;
   Alcotest.(check int) "clean flush appends nothing" 1 (S.Wal.last_lsn wal - appends_before)
+
+(* The committed records with LSN above [after], as (lsn, page id). *)
+let committed_since wal after =
+  let seen = ref [] in
+  ignore
+    (S.Wal.replay wal ~apply:(fun ~lsn ~page_id _ ->
+         if lsn > after then seen := (lsn, page_id) :: !seen));
+  List.rev !seen
+
+let test_wal_one_record_per_sync () =
+  let disk = S.Disk.in_memory ~page_size:256 () in
+  let wal = S.Wal.in_memory () in
+  let pool = S.Buffer_pool.create ~capacity:2 ~wal disk in
+  let pages_logged since = List.map snd (committed_since wal since) in
+  (* Mutate a cached page many times, then evict it: one record. *)
+  let p = S.Buffer_pool.alloc_page pool in
+  for i = 1 to 10 do
+    S.Buffer_pool.with_page_mut pool p (fun buf -> Bytes.set buf 0 (Char.chr i))
+  done;
+  let q = S.Buffer_pool.alloc_page pool in
+  ignore (S.Buffer_pool.alloc_page pool);
+  Alcotest.(check int) "ten mutations, one record for p" 1
+    (List.length (List.filter (Int.equal p) (pages_logged 0)));
+  Alcotest.(check (list int)) "the group also logged the other dirty frame"
+    (List.sort compare [p; q]) (List.sort compare (pages_logged 0));
+  (* A frame held exclusively while another frame is evicted is left out
+     of that group, and the next group logs it. *)
+  S.Buffer_pool.flush_all pool;
+  let a = q in
+  let b = S.Buffer_pool.alloc_page pool in
+  S.Buffer_pool.flush_all pool;
+  S.Buffer_pool.with_page_mut pool b (fun buf -> Bytes.set buf 0 'b');
+  let l0 = S.Wal.last_lsn wal in
+  let l1 =
+    S.Buffer_pool.with_page_mut pool a (fun buf ->
+        Bytes.set buf 0 'a';
+        (* Both frames are taken: this evicts b while a is held. *)
+        ignore (S.Buffer_pool.alloc_page pool);
+        S.Wal.last_lsn wal)
+  in
+  Alcotest.(check (list int)) "held frame skipped by the eviction's group" [b]
+    (pages_logged l0);
+  S.Buffer_pool.flush_all pool;
+  Alcotest.(check bool) "and logged by the next group" true (List.mem a (pages_logged l1));
+  S.Buffer_pool.drop_all pool;
+  S.Buffer_pool.with_page pool a (fun buf ->
+      Alcotest.(check char) "the held frame's change persisted" 'a' (Bytes.get buf 0))
 
 (* --- crash points --------------------------------------------------------- *)
 
@@ -1505,7 +1571,9 @@ let () =
           Alcotest.test_case "WAL-before-data sanitizer" `Quick
             test_wal_before_data_sanitizer;
           Alcotest.test_case "retry appends no duplicate" `Quick
-            test_wal_retry_no_duplicate_append ] );
+            test_wal_retry_no_duplicate_append;
+          Alcotest.test_case "one record per page per sync" `Quick
+            test_wal_one_record_per_sync ] );
       ( "crash points",
         [ Alcotest.test_case "first, middle and last event" `Quick
             test_crash_point_model;
