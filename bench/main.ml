@@ -53,47 +53,8 @@ let fig7 () =
   Printf.printf "workload: DBLP scale %d, pool 48 frames, per-test page-I/O budgets\n" scale;
   let table = T.Efficiency.run ~scale () in
   print_string (T.Efficiency.render table);
-  (* Batch-vs-tuple: the same engines degraded to one-row batches run
-     the identical operator code with per-row (instead of per-batch)
-     polling and accounting — the seconds delta is the vectorization
-     win, and the page-I/O rankings must not move. *)
-  let tuple_configs =
-    List.map
-      (fun c -> { c with Config.batch_size = 1 })
-      Config.figure7_engines
-  in
-  let tuple_table = T.Efficiency.run ~configs:tuple_configs ~scale () in
-  let total_seconds (t : T.Efficiency.table) =
-    List.fold_left
-      (fun acc (c : T.Efficiency.cell) -> acc +. c.T.Efficiency.seconds)
-      0. t.T.Efficiency.cells
-  in
-  let ranking t =
-    List.map
-      (fun c -> c.Config.name)
-      (List.sort
-         (fun a b ->
-           compare
-             (T.Efficiency.total t a.Config.name)
-             (T.Efficiency.total t b.Config.name))
-         Config.figure7_engines)
-  in
-  let batch =
-    { T.Report.cmp_batch_size = Config.default_batch_size;
-      batch_seconds = total_seconds table;
-      tuple_seconds = total_seconds tuple_table;
-      batch_ranking = ranking table;
-      tuple_ranking = ranking tuple_table }
-  in
-  Printf.printf
-    "batch vs tuple: %.3fs at batch %d vs %.3fs at batch 1 (%.2fx), rankings %s\n"
-    batch.T.Report.batch_seconds batch.T.Report.cmp_batch_size
-    batch.T.Report.tuple_seconds
-    (batch.T.Report.tuple_seconds /. Float.max 1e-9 batch.T.Report.batch_seconds)
-    (if List.equal String.equal batch.T.Report.batch_ranking
-          batch.T.Report.tuple_ranking
-     then "unchanged" else "CHANGED");
-  if !json_mode then write_report "BENCH_fig7.json" (T.Report.fig7_json ~batch table);
+  print_string (T.Efficiency.shape table);
+  if !json_mode then write_report "BENCH_fig7.json" (T.Report.fig7_json table);
   print_string
     "\npaper's Figure 7 (seconds; 2400 = censored at the time budget):\n\
      Engine   Test 1   Test 2   Test 3   Test 4   Test 5    Total\n\
@@ -102,8 +63,8 @@ let fig7 () =
      3         16.44   175.30     2400    63.76    29.70  2685.20\n\
      4         24.72     0.01     2400     0.00     2400  4824.72\n\
      5         65.41   163.93     2400   123.66    2400   5153.00\n\
-     shape check: engine 1 wins, the same total ordering 1 < 2 < 3 < 4 < 5,\n\
-     censoring caused by the same budget rule.\n"
+     paper's censored cells: engine-2/test 5, engine-3/test 3, engine-4/tests 3 and 5,\n\
+     engine-5/tests 3 and 5\n"
 
 (* --- Figure 6 / Example 6 --------------------------------------------------- *)
 

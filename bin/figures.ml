@@ -86,6 +86,7 @@ let fig7 () =
   header "Figure 7: timing of the top five engines (page I/Os; * = censored at budget)";
   let table = T.Efficiency.run () in
   print_string (T.Efficiency.render table);
+  print_string (T.Efficiency.shape table);
   print_string
     "\npaper (seconds, 2400 = censored):\n\
      Engine   Test 1   Test 2   Test 3   Test 4   Test 5    Total\n\

@@ -43,6 +43,7 @@ let run_action correctness_only efficiency_only scale grade json_file =
     let table = T.Efficiency.run ~scale () in
     print_newline ();
     print_string (T.Efficiency.render table);
+    print_string (T.Efficiency.shape table);
     match json_file with
     | Some file ->
       T.Report.write_file file (T.Report.fig7_json table);
@@ -189,7 +190,10 @@ let traffic_max_page_ios =
     value
     & opt (some int) None
     & info ["max-page-ios"] ~docv:"N"
-        ~doc:"Per-request page-I/O cap every session admits under.")
+        ~doc:
+          "Per-request page-I/O cap every session admits under. An uncensored \
+           response must stay within it; a censored one must stop within two \
+           page I/Os past it.")
 
 let traffic_max_seconds =
   Arg.(
@@ -230,8 +234,8 @@ let traffic_cmd =
          "Concurrent traffic harness: N client sessions (one domain each) replay \
           a seeded query mix through the full wire path over one shared \
           database, report throughput and p50/p95/p99 latency, and compare \
-          every response against a single-session oracle. Exits nonzero on any \
-          mismatch.")
+          every response against an unbudgeted single-session oracle. Exits \
+          nonzero on any mismatch.")
     Term.(
       const traffic_action $ traffic_sessions $ traffic_requests $ traffic_seed
       $ traffic_scale $ traffic_mode $ traffic_rate $ traffic_max_page_ios

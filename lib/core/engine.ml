@@ -357,20 +357,20 @@ let eval t query =
   run_form t None operators (compile_internal t query)
 
 (* The run's one accounting source is its budget's Metrics scope,
-   installed around compile, execute and serialize: the page I/O count,
-   the budget checks, the operator windows and the profile's counters
-   all read it, so a concurrent session's work never lands in this
-   run's numbers.  [exec] gets the budget and a cell for the operator
-   profile producer. *)
+   installed with the budget around compile, execute and serialize: the
+   page I/O count, the pool's page-I/O cap check, the operator windows
+   and the profile's counters all read it, so a concurrent session's
+   work never lands in this run's numbers.  [exec] gets the budget (for
+   the deadline and time-cap polls) and a cell for the operator profile
+   producer. *)
 let measured ?max_page_ios ?max_seconds ?deadline t exec =
   let budget = Storage.Budget.create ?max_page_ios ?max_seconds ?deadline () in
   let operators = ref (fun () -> []) in
   (* Callers may hold pins of their own across a run; the run is only
      required to release everything *it* acquires. *)
   let pin_base = Storage.Buffer_pool.pin_baseline t.pool in
-  let scope = Storage.Budget.scope budget in
   let status, output =
-    Storage.Metrics.with_scope scope (fun () ->
+    Storage.Budget.run budget (fun () ->
         match exec (Some budget) operators with
         | forest -> (Ok, Xml_print.forest_to_string forest)
         | exception Storage.Budget.Exhausted msg -> (Budget_exceeded msg, "")
@@ -395,7 +395,7 @@ let measured ?max_page_ios ?max_seconds ?deadline t exec =
   if Storage.Buffer_pool.sanitizing t.pool then
     Storage.Buffer_pool.assert_balanced ~where:"Engine.run" ~baseline:pin_base t.pool;
   let elapsed = Storage.Budget.elapsed budget in
-  let counters = Storage.Metrics.scope_snapshot scope in
+  let counters = Storage.Metrics.scope_snapshot (Storage.Budget.scope budget) in
   let reads = Storage.Metrics.get counters "disk.reads" in
   let writes = Storage.Metrics.get counters "disk.writes" in
   let operators = !operators () in

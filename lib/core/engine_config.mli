@@ -30,8 +30,6 @@ type t = {
           harness deepens it when it cranks fault rates up *)
 }
 
-val default_batch_size : int
-
 val max_batch_size : int
 (** Upper bound on [batch_size]: the page size in bytes, which bounds
     the rows a page-at-a-time scan can stage from one page pull. *)

@@ -21,6 +21,8 @@ let with_params ctx params = { ctx with params }
 
 let set_budget ctx budget = ctx.budget <- budget
 
+(* The per-batch poll of the deadline and time cap.  The page-I/O cap
+   needs no poll: the buffer pool checks it on every frame insert. *)
 let tick ctx =
   match ctx.budget with
   | None -> ()
@@ -252,7 +254,7 @@ let cursor_of op =
 let out_batch ctx schema = Tuple.batch_create ~width:(List.length schema) ctx.batch_size
 
 (* Wrap a row generator into a batch producer over a reusable output
-   batch; the budget is polled once per batch. *)
+   batch; the deadline and time cap are polled once per batch. *)
 let batched ctx ~schema gen =
   let b = out_batch ctx schema in
   fun () ->

@@ -20,8 +20,10 @@
     - disk materialization of intermediates ({!materialize}) — milestone
       3's "write each intermediate result to disk and re-read it".
 
-    All operators poll the context's {!Xqdb_storage.Budget} (once per
-    batch) so the testbed can censor over-budget plans. *)
+    All operators poll the context's {!Xqdb_storage.Budget} once per
+    batch for its deadline and time cap.  The page-I/O cap is not
+    polled: the buffer pool enforces it on the I/O itself, so a plan is
+    censored within two I/Os of its cap whatever the batch size. *)
 
 module A := Xqdb_tpm.Tpm_algebra
 
@@ -29,8 +31,9 @@ type ctx = {
   store : Xqdb_xasr.Node_store.t;
   pool : Xqdb_storage.Buffer_pool.t;  (** for temp structures *)
   mutable budget : Xqdb_storage.Budget.t option;
-      (** templates outlive any single run, so the budget is swapped in
-          per execution via {!set_budget} *)
+      (** polled for the deadline and time cap; templates outlive any
+          single run, so the budget is swapped in per execution via
+          {!set_budget} *)
   params : Tuple.params;
       (** parameter slots the operators compile external references
           against; [Tuple.no_params] outside a template *)

@@ -27,9 +27,28 @@ let scope t = t.scope
 let page_ios t = Disk.scope_ios t.scope
 let elapsed t = Monotonic.elapsed_since t.start
 
+(* The budget [run] installed in this domain, read by the buffer pool on
+   every frame insert: one domain-local read when no budget is set. *)
+let installed : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let run t f =
+  let previous = Domain.DLS.get installed in
+  Domain.DLS.set installed (Some t);
+  Fun.protect
+    ~finally:(fun () -> Domain.DLS.set installed previous)
+    (fun () -> Metrics.with_scope t.scope f)
+
+let check_page_ios () =
+  match Domain.DLS.get installed with
+  | Some ({ max_page_ios = Some cap; _ } as t) ->
+    let ios = page_ios t in
+    if ios > cap then
+      raise (Exhausted (Printf.sprintf "page I/O budget exceeded (%d > %d)" ios cap))
+  | Some { max_page_ios = None; _ } | None -> ()
+
 let check t =
   (* Deadline first: a request that is already dead should be censored
-     as [Timeout] even if a budget cap would also have tripped. *)
+     as [Timeout] even if the time cap would also have tripped. *)
   (match t.deadline with
    | Some d ->
      let now = Monotonic.now () in
@@ -38,10 +57,6 @@ let check t =
          (Deadline_exceeded
             (Printf.sprintf "deadline exceeded (%.3fs past it)" (now -. d)))
    | None -> ());
-  (match t.max_page_ios with
-   | Some cap when page_ios t > cap ->
-     raise (Exhausted (Printf.sprintf "page I/O budget exceeded (%d > %d)" (page_ios t) cap))
-   | Some _ | None -> ());
   match t.max_seconds with
   | Some cap when elapsed t > cap ->
     raise (Exhausted (Printf.sprintf "time budget exceeded (%.2fs > %.2fs)" (elapsed t) cap))

@@ -266,6 +266,14 @@ let insert_frame t page_id buf dirty =
   in
   Hashtbl.replace t.frames page_id frame;
   push_front t frame;
+  (* Every page I/O a request charges enters here — the miss's read (or
+     [alloc_page]'s new frame) and the write-back its eviction caused —
+     so this is where the installed budget's page-I/O cap is enforced:
+     a censored run stops within two I/Os of its cap.  The frame is
+     already linked and unpinned, and [locked] releases the mutex, so
+     [Exhausted] leaves the pool as consistent as a [Disk_error] from
+     the same path does. *)
+  Budget.check_page_ios ();
   frame
 
 let find t page_id =

@@ -49,6 +49,15 @@
     once the disk recovers, the next eviction or [flush_all] persists
     it.
 
+    {2 Page-I/O budgets}
+
+    Every frame the pool brings in — a miss's read, or {!alloc_page}'s
+    new frame, together with the write-back its eviction caused — ends
+    with {!Budget.check_page_ios}.  Under a {!Budget.run} whose cap
+    those I/Os crossed, the access raises {!Budget.Exhausted} with the
+    frame cached and unpinned and the mutex released, as a
+    {!Disk.Disk_error} from the same path leaves it.
+
     {2 Write-ahead logging}
 
     A pool created with [~wal] logs at sync time, not at mutation time:

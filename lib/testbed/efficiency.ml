@@ -68,14 +68,45 @@ let total table engine =
     (fun acc c -> if String.equal c.engine engine then acc + c.page_ios else acc)
     0 table.cells
 
-let render table =
-  let engines =
-    List.sort_uniq compare (List.map (fun c -> c.engine) table.cells)
+(* The engines in configuration order (cells are engine-major). *)
+let engines table =
+  List.fold_left
+    (fun acc c -> if List.mem c.engine acc then acc else acc @ [c.engine])
+    [] table.cells
+
+let shape table =
+  let configured = engines table in
+  let ordering =
+    List.stable_sort (fun a b -> Int.compare (total table a) (total table b)) configured
   in
+  let rec chain = function
+    | a :: (b :: _ as rest) ->
+      a :: (if total table a = total table b then " = " else " < ") :: chain rest
+    | rest -> rest
+  in
+  let rec increasing = function
+    | a :: (b :: _ as rest) -> total table a < total table b && increasing rest
+    | _ -> true
+  in
+  let censored =
+    List.filter_map
+      (fun c -> if c.censored then Some (c.engine ^ "/" ^ c.test) else None)
+      table.cells
+  in
+  Printf.sprintf
+    "measured total ordering: %s (%s the paper's %s)\n\
+     measured censored cells: %s\n"
+    (String.concat "" (chain ordering))
+    (if increasing configured then "matches" else "differs from")
+    (String.concat " < " configured)
+    (match censored with [] -> "none" | l -> String.concat ", " l)
+
+let render table =
+  let ordered = engines table in
   let tests =
     List.filter_map
       (fun c ->
-        if String.equal c.engine (List.hd engines) then Some c.test else None)
+        if String.equal c.engine (List.hd ordered) then Some c.test else None)
       table.cells
   in
   let buf = Buffer.create 1024 in
@@ -85,14 +116,6 @@ let render table =
   Buffer.add_string buf (Printf.sprintf "%-10s" "Engine");
   List.iteri (fun i _ -> Buffer.add_string buf (Printf.sprintf "%12s" (Printf.sprintf "Test %d" (i + 1)))) tests;
   Buffer.add_string buf (Printf.sprintf "%12s\n" "Total");
-  let ordered =
-    (* Preserve the configuration order rather than alphabetical. *)
-    List.sort_uniq compare engines
-    |> fun _ ->
-    List.fold_left
-      (fun acc c -> if List.mem c.engine acc then acc else acc @ [c.engine])
-      [] table.cells
-  in
   List.iter
     (fun engine ->
       Buffer.add_string buf (Printf.sprintf "%-10s" engine);

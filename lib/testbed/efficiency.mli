@@ -44,3 +44,10 @@ val total : table -> string -> int
 val render : table -> string
 (** The Figure-7 layout: one row per engine, one column per test, plus
     the total. *)
+
+val shape : table -> string
+(** Figure 7's shape as measured: the engines ordered by {!total}
+    (ties shown as [=]), whether that is strictly the order they were
+    configured in — the paper's 1 < 2 < 3 < 4 < 5 for the default
+    {!Xqdb_core.Engine_config.figure7_engines} — and the censored cells
+    as [engine/test]. *)

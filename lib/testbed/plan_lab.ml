@@ -73,7 +73,7 @@ let run ?(scale = 300) () =
     let ctx = Op.make_ctx store in
     let budget = Storage.Budget.create () in
     let rows =
-      Storage.Metrics.with_scope (Storage.Budget.scope budget) (fun () ->
+      Storage.Budget.run budget (fun () ->
           let tmpl = Planner.template ctx plan in
           Planner.bind tmpl ~env;
           List.length (Op.drain tmpl.Planner.op))

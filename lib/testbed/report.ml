@@ -286,42 +286,15 @@ let cell_json (c : Efficiency.cell) =
 
 (* Bumped on every schema change; reports are regenerated, never
    migrated, so only the current version validates. *)
-let schema_version = 9
+let schema_version = 10
 
 let bench_json ~kind extra ~results =
   Obj
     ((("schema_version", Int schema_version) :: ("kind", Str kind) :: extra)
     @ [("results", Arr results)])
 
-(* The batch-vs-tuple comparison a fig7 report may carry:
-   the same engines and workload run once at the configured batch size
-   and once degraded to one-row batches through the identical operator
-   code, so the seconds delta isolates the vectorization win.  Rankings
-   are each run's engines ordered by total censored-capped page I/O —
-   the gate requires them to agree. *)
-type batch_comparison = {
-  cmp_batch_size : int;
-  batch_seconds : float;
-  tuple_seconds : float;
-  batch_ranking : string list;
-  tuple_ranking : string list;
-}
-
-let batch_comparison_json c =
-  Obj
-    [ ("batch_size", Int c.cmp_batch_size);
-      ("batch_seconds", Float c.batch_seconds);
-      ("tuple_seconds", Float c.tuple_seconds);
-      ("batch_ranking", Arr (List.map (fun e -> Str e) c.batch_ranking));
-      ("tuple_ranking", Arr (List.map (fun e -> Str e) c.tuple_ranking)) ]
-
-let fig7_json ?batch (table : Efficiency.table) =
-  bench_json ~kind:"fig7"
-    (("budget", Int table.budget)
-    :: (match batch with
-       | None -> []
-       | Some c -> [("batch", batch_comparison_json c)]))
-    ~results:(List.map cell_json table.cells)
+let fig7_json (table : Efficiency.table) =
+  bench_json ~kind:"fig7" [("budget", Int table.budget)] ~results:(List.map cell_json table.cells)
 
 (* One result object per crash point, flat, so CI can grep a failing
    (trial, point) pair straight out of the artifact. *)
@@ -699,43 +672,6 @@ let validate_structural_gain results =
           Error (Printf.sprintf "%s: missing m4 or m4-nostruct measurement" test))
       deep_tests
 
-(* The batch-gain gate over a fig7 report's batch-vs-tuple comparison:
-   the vectorized run must be strictly faster than the same engines
-   degraded to one-row batches, without disturbing the engine rankings
-   (same code path, same plans, same page I/Os — only the per-row
-   overhead changes). *)
-let validate_batch_gain batch =
-  let* size = int_field batch "batch_size" in
-  let* batch_seconds = number_field batch "batch_seconds" in
-  let* tuple_seconds = number_field batch "tuple_seconds" in
-  let ranking name =
-    let* arr = need name (member name batch) in
-    let* items = as_arr name arr in
-    List.fold_left
-      (fun acc item ->
-        let* acc = acc in
-        let* s = as_str name item in
-        Ok (s :: acc))
-      (Ok []) items
-    |> Result.map List.rev
-  in
-  let* batch_ranking = ranking "batch_ranking" in
-  let* tuple_ranking = ranking "tuple_ranking" in
-  if size <= 1 then
-    Error (Printf.sprintf "batch comparison ran at batch_size %d, not a vectorized size" size)
-  else if batch_ranking = [] then Error "empty engine rankings"
-  else if not (List.equal String.equal batch_ranking tuple_ranking) then
-    Error
-      (Printf.sprintf "engine rankings changed under batching: [%s] vs [%s]"
-         (String.concat "; " batch_ranking)
-         (String.concat "; " tuple_ranking))
-  else if batch_seconds >= tuple_seconds then
-    Error
-      (Printf.sprintf
-         "batched execution shows no gain: %.3fs at batch %d vs %.3fs tuple-at-a-time"
-         batch_seconds size tuple_seconds)
-  else Ok ()
-
 let check_version json ~expected =
   let* version = int_field json "schema_version" in
   if version = expected then Ok ()
@@ -754,10 +690,9 @@ let validate_bench json =
     | _ -> validate_result
   in
   let* () = if results = [] then Error "empty results" else check_all check results in
-  match kind, member "batch" json with
-  | "templates", _ -> validate_constant_templates results
-  | "structural", _ -> validate_structural_gain results
-  | "fig7", Some batch -> validate_batch_gain batch
+  match kind with
+  | "templates" -> validate_constant_templates results
+  | "structural" -> validate_structural_gain results
   | _ -> Ok ()
 
 let validate_lint ~schema_version json =

@@ -7,16 +7,15 @@
     [BENCH_*.json], and the validators CI runs over those files and over
     the [xqdb-lint] JSON report.
 
-    One schema version is current (8) and only it validates: a schema
+    One schema version is current (10) and only it validates: a schema
     change bumps the version, and old versions are not kept — reports
     are regenerated, never migrated.
 
     {v
-    { "schema_version": 8,
+    { "schema_version": 10,
       "kind": "fig7" | "ablations" | "milestones" | "templates"
             | "structural",
       "budget": int,              (fig7 only)
-      "batch": <comparison>,      (fig7, optional; see batch_comparison)
       "results": [
         { "engine": str, "test": str, <extra fields, e.g. "scale": int>,
           "page_ios": int, "seconds": float, "censored": bool,
@@ -85,21 +84,8 @@ val result_json :
 
 val cell_json : Efficiency.cell -> json
 
-(** The batch-vs-tuple comparison a fig7 report can carry: the same
-    engines and workload measured at the configured batch size and again
-    degraded to one-row batches through the identical operator code,
-    with each run's engines ranked by total censored-capped page I/O. *)
-type batch_comparison = {
-  cmp_batch_size : int;  (** the vectorized run's batch size *)
-  batch_seconds : float;  (** total seconds across the table, batched *)
-  tuple_seconds : float;  (** total seconds at [batch_size = 1] *)
-  batch_ranking : string list;
-  tuple_ranking : string list;
-}
-
-val fig7_json : ?batch:batch_comparison -> Efficiency.table -> json
-(** The whole Figure-7 table: [kind = "fig7"], plus the [batch]
-    comparison object when provided. *)
+val fig7_json : Efficiency.table -> json
+(** The whole Figure-7 table: [kind = "fig7"]. *)
 
 val crash_json : Differential.crash_report -> json
 (** A crash-point sweep: [kind = "crash"], one result per crash point. *)
@@ -136,9 +122,9 @@ val validate_bench : json -> (unit, string) result
       [planner.templates_built] across its results — compile-once under
       data scaling;
     - ["structural"]: every ["deep-*"] test has [m4] and [m4-nostruct]
-      measurements, with strictly less page I/O under [m4];
-    - ["fig7"] with a [batch] object: the batched run is strictly faster
-      than the tuple-at-a-time run, with the same engine rankings. *)
+      measurements, with strictly less page I/O under [m4].
+    Speed claims are not gated here: they go through the end-to-end
+    benchmark's pairwise comparison ([bench/e2e/compare.exe]). *)
 
 val validate_lint : schema_version:int -> json -> (unit, string) result
 (** Validation of an [xqdb-lint] JSON report: [schema_version] equals

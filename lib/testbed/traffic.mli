@@ -8,12 +8,17 @@
     schedule drawn deterministically from [seed], sampling the five
     efficiency queries plus the Section-2 example.
 
-    Before the domains start, a single-session oracle executes every
-    distinct query and records its (status, payload); each concurrent
-    response is compared against it and counted as a mismatch when it
-    differs — the multi-session acceptance criterion.  After all
-    sessions join, the shared pool must be quiescent (no pins, no held
-    latches); a leak raises {!Xqdb_storage.Xqdb_error.Internal}.
+    Before the domains start, an unbudgeted single-session oracle
+    executes every distinct query and records its (status, payload);
+    each concurrent response is counted as a mismatch unless it
+    conforms — the multi-session acceptance criterion.  A response that
+    was not censored must equal the oracle's and report at most the
+    page cap; a page-cap censor ([Budget_exceeded]) must report
+    [cap < page_ios <= cap + 2].  Which requests a cap censors depends
+    on what the other sessions left in the shared pool, so censored
+    statuses are not compared with the oracle.  After all sessions
+    join, the shared pool must be quiescent (no pins, no held latches);
+    a leak raises {!Xqdb_storage.Xqdb_error.Internal}.
 
     The concurrent phase starts on a cold pool (dropped after the oracle
     pass), and the page I/Os its responses report must sum to exactly
@@ -87,7 +92,8 @@ val run :
   unit ->
   report
 (** The caps become every session's admission limits (requests censor to
-    [Budget_exceeded] when they trip, sessions and server live on). *)
+    [Budget_exceeded] when they trip, sessions and server live on); the
+    oracle runs without them. *)
 
 val mode_label : mode -> string
 (** ["closed"] or ["open"]. *)

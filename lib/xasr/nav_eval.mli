@@ -12,8 +12,10 @@
     Comparisons follow the paper's restriction: non-text operands raise
     {!Xqdb_xq.Xq_eval.Type_error}.
 
-    The optional [budget] is polled once per cursor pull, which is what
-    lets the testbed censor runaway evaluations. *)
+    The optional [budget]'s deadline and time cap are polled once per
+    cursor pull, which is what lets a server time out runaway
+    evaluations.  Its page-I/O cap is enforced by the buffer pool under
+    the caller's {!Xqdb_storage.Budget.run}. *)
 
 module Xq_ast := Xqdb_xq.Xq_ast
 

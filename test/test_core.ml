@@ -217,9 +217,11 @@ let test_budget_censoring () =
   let result = Engine.run ~max_page_ios:1 engine q in
   (match result.Engine.status with
    | Engine.Budget_exceeded _ ->
-     (* The run was cut off only after the accounting observed the
-        overrun, so the reported count must itself exceed the budget. *)
-     Alcotest.(check bool) "i/o accounted" true (result.Engine.page_ios > 1)
+     (* The pool checks the cap after charging each read and the
+        write-back its eviction caused, so the run stops within two
+        I/Os past the cap. *)
+     Alcotest.(check bool) "i/o accounted" true (result.Engine.page_ios > 1);
+     Alcotest.(check bool) "stopped at the cap" true (result.Engine.page_ios <= 3)
    | Engine.Ok | Engine.Error _ | Engine.Io_error _ | Engine.Timeout _ ->
      Alcotest.fail "expected budget exhaustion");
   (* Unbudgeted, the same query completes. *)
@@ -227,6 +229,35 @@ let test_budget_censoring () =
   match result.Engine.status with
   | Engine.Ok -> ()
   | _ -> Alcotest.fail "expected success without budget"
+
+(* Figure 7's censoring point: engine 2 on test 3 at DBLP 400, under
+   grade-fig7's scaled cap, stops within two I/Os of the cap at any
+   batch size.  One batch of its selective join covers thousands of
+   page I/Os, so only a check on the I/O itself can stop it there. *)
+let test_fig7_cap_is_exact () =
+  let cap = 1_280 in
+  let engine =
+    Engine.load_forest ~config:Config.engine2 [W.Dblp_gen.generate (W.Dblp_gen.scaled 400)]
+  in
+  let q =
+    Xqdb_xq.Xq_parser.parse
+      (List.assoc "test3-semijoin" Xqdb_testbed.Queries.efficiency_queries)
+  in
+  List.iter
+    (fun batch_size ->
+      let engine = Engine.with_config { Config.engine2 with Config.batch_size } engine in
+      Xqdb_storage.Buffer_pool.drop_all (Engine.pool engine);
+      let r = Engine.run ~max_page_ios:cap engine q in
+      let what = Printf.sprintf "batch %d" batch_size in
+      (match r.Engine.status with
+       | Engine.Budget_exceeded _ -> ()
+       | Engine.Ok | Engine.Error _ | Engine.Io_error _ | Engine.Timeout _ ->
+         Alcotest.failf "%s: expected censoring" what);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d page I/Os within (cap, cap + 2]" what r.Engine.page_ios)
+        true
+        (r.Engine.page_ios > cap && r.Engine.page_ios <= cap + 2))
+    [256; 1]
 
 let test_type_errors_reported () =
   let engine = Lazy.force journal_engine in
@@ -607,6 +638,8 @@ let () =
           Alcotest.test_case "operator breakdown" `Quick test_profile_operators ] );
       ( "budgets and errors",
         [ Alcotest.test_case "censoring" `Quick test_budget_censoring;
+          Alcotest.test_case "Figure-7 censoring stops at the cap" `Quick
+            test_fig7_cap_is_exact;
           Alcotest.test_case "type errors" `Quick test_type_errors_reported;
           Alcotest.test_case "pool exhaustion censors" `Quick test_pool_exhausted_censors;
           Alcotest.test_case "sanitized engine under faults" `Quick

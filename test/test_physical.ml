@@ -501,10 +501,7 @@ let test_operator_budget () =
   S.Buffer_pool.drop_all pool;
   let budget = S.Budget.create ~max_page_ios:2 () in
   let ctx = Op.make_ctx ~budget store in
-  match
-    S.Metrics.with_scope (S.Budget.scope budget) (fun () ->
-        Op.count (Op.full_scan ctx "R" ~preds:[]))
-  with
+  match S.Budget.run budget (fun () -> Op.count (Op.full_scan ctx "R" ~preds:[])) with
   | _ -> Alcotest.fail "expected exhaustion"
   | exception S.Budget.Exhausted _ -> ()
 
@@ -600,24 +597,19 @@ let test_budget_partial_batches () =
   let budget = S.Budget.create ~max_page_ios:2 () in
   let ctx = Op.make_ctx ~budget store in
   let op = Op.full_scan ctx "R" ~preds:[] in
-  let charged f = S.Metrics.with_scope (S.Budget.scope budget) f in
-  (* The budget is polled per batch, so the first batch (whose fill
-     overruns the two-I/O allowance) still comes back whole... *)
-  let first =
-    match charged (fun () -> Op.next_batch op) with
-    | Some b -> b.Tuple.len
-    | None -> Alcotest.fail "expected rows before exhaustion"
-  in
-  Alcotest.(check bool) "first batch delivered" true (first > 0);
-  (* ...and the next poll raises. *)
-  (match charged (fun () -> Op.next_batch op) with
-   | _ -> Alcotest.fail "expected exhaustion on the second batch"
+  (* The cap is enforced on the I/O, not polled per batch: the first
+     batch's fill raises as soon as its third (clean, cold) read is
+     charged, mid-batch, whatever the batch size. *)
+  (match S.Budget.run budget (fun () -> Op.next_batch op) with
+   | _ -> Alcotest.fail "expected exhaustion inside the first batch"
    | exception S.Budget.Exhausted _ -> ());
+  Alcotest.(check int) "stopped at the crossing read" 3 (S.Budget.page_ios budget);
+  S.Buffer_pool.assert_unpinned ~where:"censored batch" pool;
   (* The censored operator still reports a consistent partial profile. *)
   let p = Op.profile op in
-  Alcotest.(check int) "partial profile keeps the delivered batch" 1 p.Op.batches;
-  Alcotest.(check int) "partial profile keeps the delivered rows" first p.Op.rows;
-  Alcotest.(check bool) "partial profile charged the I/O" true (p.Op.ios > 0)
+  Alcotest.(check int) "partial profile has no delivered batch" 0 p.Op.batches;
+  Alcotest.(check int) "partial profile has no delivered rows" 0 p.Op.rows;
+  Alcotest.(check int) "partial profile charged the I/O" 3 p.Op.ios
 
 let test_ctx_validation () =
   let _, ctx = make_store () in

@@ -515,26 +515,37 @@ let test_catalog_overflow () =
 
 let test_budget () =
   let disk = S.Disk.in_memory ~page_size:128 () in
+  let pool = S.Buffer_pool.create ~capacity:2 disk in
+  let pages = List.init 8 (fun _ -> S.Buffer_pool.alloc_page pool) in
+  S.Buffer_pool.drop_all pool;
+  let touch () = List.iter (fun p -> S.Buffer_pool.with_page pool p ignore) pages in
+  (* The pool enforces the cap on the I/O itself: the sixth (clean) miss
+     crosses a cap of 5 and raises at once, with nothing left pinned. *)
   let budget = S.Budget.create ~max_page_ios:5 () in
-  S.Budget.check budget;
-  let p = S.Disk.alloc disk in
-  let reads n () =
-    for _ = 1 to n do
-      ignore (S.Disk.read_page disk p)
-    done
-  in
-  S.Metrics.with_scope (S.Budget.scope budget) (reads 6);
-  Alcotest.(check int) "consumption measured" 6 (S.Budget.page_ios budget);
-  (match S.Budget.check budget with
-   | _ -> Alcotest.fail "budget should be exhausted"
+  (match S.Budget.run budget touch with
+   | () -> Alcotest.fail "budget should be exhausted"
    | exception S.Budget.Exhausted _ -> ());
-  (* I/O outside the budget's scope is not charged to it. *)
-  reads 10 ();
+  Alcotest.(check int) "stopped at the crossing read" 6 (S.Budget.page_ios budget);
+  S.Buffer_pool.assert_unpinned ~where:"censored access" pool;
+  (* [check] polls only the deadline and the time cap. *)
+  S.Budget.check budget;
+  (* Outside [run] nothing is enforced, and I/O is not charged. *)
+  touch ();
   Alcotest.(check int) "unscoped reads not charged" 6 (S.Budget.page_ios budget);
   (* A budget without caps never trips. *)
   let free = S.Budget.create () in
-  S.Metrics.with_scope (S.Budget.scope free) (reads 100);
-  S.Budget.check free
+  S.Budget.run free touch;
+  Alcotest.(check int) "uncapped reads charged" 8 (S.Budget.page_ios free);
+  (* The bound is the crossing read plus one victim write-back: a miss
+     that evicts a dirty frame charges two I/Os before the check. *)
+  let one = S.Buffer_pool.create ~capacity:1 disk in
+  S.Buffer_pool.with_page_mut one (List.hd pages) ignore;
+  let zero = S.Budget.create ~max_page_ios:0 () in
+  (match S.Budget.run zero (fun () -> S.Buffer_pool.with_page one (List.nth pages 1) ignore) with
+   | () -> Alcotest.fail "zero budget should be exhausted"
+   | exception S.Budget.Exhausted _ -> ());
+  Alcotest.(check int) "read plus write-back" 2 (S.Budget.page_ios zero);
+  S.Buffer_pool.assert_unpinned ~where:"censored eviction" one
 
 (* Two requests on two domains, interleaved deterministically: A holds a
    zero-I/O budget in scope while B does pool I/O under its own.  A
@@ -554,17 +565,17 @@ let test_budget_isolation () =
   let a =
     Domain.spawn (fun () ->
         let budget = S.Budget.create ~max_page_ios:0 () in
-        S.Metrics.with_scope (S.Budget.scope budget) (fun () ->
+        S.Budget.run budget (fun () ->
             Atomic.set turn 1;
             await 2;
-            S.Budget.check budget;
+            S.Budget.check_page_ios ();
             S.Budget.page_ios budget))
   in
   let b =
     Domain.spawn (fun () ->
         await 1;
         let mine = S.Budget.create () in
-        S.Metrics.with_scope (S.Budget.scope mine) (fun () ->
+        S.Budget.run mine (fun () ->
             List.iter (fun p -> S.Buffer_pool.with_page pool p ignore) pages);
         Atomic.set turn 2;
         S.Budget.page_ios mine)

@@ -210,19 +210,19 @@ let test_report_validates () =
    | Error _ -> ());
   (* Only the current schema validates: the previous version is refused
      even when the rest of the report is well-formed. *)
-  let v7 =
+  let previous =
     match report with
     | R.Obj fields ->
       R.Obj
         (List.map
            (function
-             | ("schema_version", _) -> ("schema_version", R.Int 7)
+             | ("schema_version", _) -> ("schema_version", R.Int 9)
              | kv -> kv)
            fields)
     | v -> v
   in
-  match R.validate_bench v7 with
-  | Ok () -> Alcotest.fail "schema_version 7 accepted"
+  match R.validate_bench previous with
+  | Ok () -> Alcotest.fail "previous schema_version accepted"
   | Error _ -> ()
 
 (* Each report kind's gate, on a synthetic report that passes it and one
@@ -274,19 +274,15 @@ let test_report_kind_gates () =
         ]
   in
   check_gate "structural" ~pass:(structural 10) ~fail:(structural 20);
-  let fig7 batch_seconds =
-    R.bench_json ~kind:"fig7"
-      [ ("budget", R.Int 60_000);
-        ( "batch",
-          R.Obj
-            [ ("batch_size", R.Int 256);
-              ("batch_seconds", R.Float batch_seconds);
-              ("tuple_seconds", R.Float 2.0);
-              ("batch_ranking", R.Arr [R.Str "engine-1"; R.Str "engine-2"]);
-              ("tuple_ranking", R.Arr [R.Str "engine-1"; R.Str "engine-2"]) ] ) ]
+  (* A fig7 report has no kind gate: its speed is judged by the
+     end-to-end benchmark, so any well-formed table passes. *)
+  let fig7 =
+    R.bench_json ~kind:"fig7" [("budget", R.Int 60_000)]
       ~results:[synthetic_result ~engine:"engine-1" ~test:"test1" ~page_ios:7 ~templates:1 ()]
   in
-  check_gate "fig7 batch" ~pass:(fig7 1.0) ~fail:(fig7 3.0)
+  match R.validate_bench fig7 with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "fig7: well-formed report rejected: %s" msg
 
 (* The lint report check-lint validates: what the lint driver renders
    passes; malformed or foreign reports do not. *)
@@ -392,6 +388,19 @@ let test_crash_report_json () =
   (match R.validate_bench (corrupt j) with
    | Ok () -> Alcotest.fail "out-of-range crash point accepted"
    | Error _ -> ())
+
+(* Page budgets under concurrency: a cap that censors some requests but
+   not all.  Which ones trip depends on the interleaving (one shared
+   pool), so the gate is per response — an Ok answer is the unbudgeted
+   oracle's within the cap, a censor stops in (cap, cap + 2] — plus the
+   run's own check that Σ response page I/Os equals the disk's delta. *)
+let test_traffic_budgets () =
+  let report = T.Traffic.run ~max_page_ios:3 ~sessions:2 ~requests:6 ~seed:7 ~scale:60 () in
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 report.T.Traffic.per_session in
+  Alcotest.(check int) "every response conforms" 0 report.T.Traffic.total_mismatches;
+  Alcotest.(check bool) "some requests censored" true
+    (sum (fun s -> s.T.Traffic.budget_exceeded) > 0);
+  Alcotest.(check bool) "some requests answered" true (sum (fun s -> s.T.Traffic.ok) > 0)
 
 (* A small closed-loop traffic run: serializes, re-parses, validates —
    and a report with a faked mismatch or disordered percentiles must be
@@ -552,7 +561,8 @@ let () =
           Alcotest.test_case "kind gates" `Quick test_report_kind_gates;
           Alcotest.test_case "lint report validation" `Quick test_lint_report_validation ] );
       ( "traffic",
-        [ Alcotest.test_case "report round trip and gates" `Slow test_traffic_report ] );
+        [ Alcotest.test_case "report round trip and gates" `Slow test_traffic_report;
+          Alcotest.test_case "page budgets under concurrency" `Quick test_traffic_budgets ] );
       ( "chaos",
         [ Alcotest.test_case "both profiles pass and gate" `Slow test_chaos_report ] );
       ( "crash sweep",
