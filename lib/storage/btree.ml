@@ -320,177 +320,104 @@ let delete t ~key =
 
 (* --- scans ------------------------------------------------------------ *)
 
-let rec leftmost_leaf t pid =
+(* Descend from [pid] to the leaf that would hold [key] (the leftmost
+   leaf without one); the leaf's window also finds the first slot to
+   read, so the descent pins each level once. *)
+let rec descend t pid key =
   Metrics.incr m_node_reads;
   let step =
     Buffer_pool.with_page t.pool pid (fun p ->
-        if Page.flags p = kind_leaf then None else Some (Page.next p))
+        match (Page.flags p = kind_leaf, key) with
+        | true, None -> `Leaf 0
+        | true, Some k -> `Leaf (fst (leaf_lower_bound p k))
+        | false, None -> `Child (Page.next p)
+        | false, Some k -> `Child (internal_child p k))
   in
   match step with
-  | None -> pid
-  | Some child -> leftmost_leaf t child
+  | `Leaf pos -> (pid, pos)
+  | `Child child -> descend t child key
 
-let rec leaf_for t pid key =
-  Metrics.incr m_node_reads;
-  let step =
-    Buffer_pool.with_page t.pool pid (fun p ->
-        if Page.flags p = kind_leaf then None else Some (internal_child p key))
-  in
-  match step with
-  | None -> pid
-  | Some child -> leaf_for t child key
-
-let scan_range ?lo ?hi t =
-  let leaf, start =
-    match lo with
-    | None -> (leftmost_leaf t t.root, 0)
-    | Some key ->
-      let leaf = leaf_for t t.root key in
-      let pos, _ = Buffer_pool.with_page t.pool leaf (fun p -> leaf_lower_bound p key) in
-      (leaf, pos)
-  in
-  let cur_leaf = ref leaf in
+(* The one leaf walker.  Each pull pins the next leaf once and, inside
+   that window, copies out its cells from the current slot up to the
+   first key satisfying [stop], which ends the scan.  Never returns an
+   empty array; an emptied leaf is walked past. *)
+let leaf_cursor t (leaf, start) ~stop =
+  let cur_leaf = ref leaf in  (* 0 once the scan has ended *)
   let cur_pos = ref start in
-  let finished = ref false in
   let rec pull () =
-    if !finished then None
-    else begin
-      let n, nxt =
-        Buffer_pool.with_page t.pool !cur_leaf (fun p -> (Page.slot_count p, Page.next p))
-      in
-      if !cur_pos >= n then begin
-        if nxt = 0 then begin
-          finished := true;
-          None
-        end
-        else begin
-          cur_leaf := nxt;
-          cur_pos := 0;
-          pull ()
-        end
-      end
-      else begin
-        let cell =
-          Buffer_pool.with_page t.pool !cur_leaf (fun p -> Page.read_slot p !cur_pos)
-        in
-        incr cur_pos;
-        let key = leaf_cell_key cell in
-        match hi with
-        | Some hi_key when Bytes.compare key hi_key > 0 ->
-          finished := true;
-          None
-        | Some _ | None -> Some (key, leaf_cell_value cell)
-      end
-    end
-  in
-  pull
-
-let scan_prefix t ~prefix =
-  let plen = Bytes.length prefix in
-  let inner = scan_range ~lo:prefix t in
-  let finished = ref false in
-  fun () ->
-    if !finished then None
-    else
-      match inner () with
-      | None -> None
-      | Some (key, value) ->
-        if Bytes.length key >= plen && Bytes.equal (Bytes.sub key 0 plen) prefix then
-          Some (key, value)
-        else begin
-          finished := true;
-          None
-        end
-
-(* Page-at-a-time scans: where [scan_range] re-enters the pool for every
-   entry (a slot-count probe plus a slot read per pull), these cursors
-   pin each leaf once and decode all its qualifying cells inside that
-   single [with_page] window.  The batch-execution scan operators are
-   built on these. *)
-
-let scan_range_pages ?lo ?hi t =
-  let leaf, start =
-    match lo with
-    | None -> (leftmost_leaf t t.root, 0)
-    | Some key ->
-      let leaf = leaf_for t t.root key in
-      let pos, _ = Buffer_pool.with_page t.pool leaf (fun p -> leaf_lower_bound p key) in
-      (leaf, pos)
-  in
-  let cur_leaf = ref leaf in
-  let cur_pos = ref start in
-  let finished = ref false in
-  let rec pull () =
-    if !finished then None
+    if !cur_leaf = 0 then None
     else begin
       Metrics.incr m_node_reads;
-      let cells, nxt, past_hi =
+      let cells, next =
         Buffer_pool.with_page t.pool !cur_leaf (fun p ->
             let n = Page.slot_count p in
-            let acc = ref [] in
-            let past_hi = ref false in
-            let pos = ref !cur_pos in
-            while (not !past_hi) && !pos < n do
-              let cell = Page.read_slot p !pos in
-              let key = leaf_cell_key cell in
-              match hi with
-              | Some hi_key when Bytes.compare key hi_key > 0 -> past_hi := true
-              | Some _ | None ->
-                acc := (key, leaf_cell_value cell) :: !acc;
-                incr pos
-            done;
-            (Array.of_list (List.rev !acc), Page.next p, !past_hi))
+            let rec take i acc =
+              if i >= n then (acc, Page.next p)
+              else begin
+                let cell = Page.read_slot p i in
+                let key = leaf_cell_key cell in
+                if stop key then (acc, 0)
+                else take (i + 1) ((key, leaf_cell_value cell) :: acc)
+              end
+            in
+            let acc, next = take !cur_pos [] in
+            (Array.of_list (List.rev acc), next))
       in
-      if past_hi || nxt = 0 then finished := true
-      else begin
-        cur_leaf := nxt;
-        cur_pos := 0
-      end;
-      if Array.length cells = 0 then if !finished then None else pull ()
-      else Some cells
+      cur_leaf := next;
+      cur_pos := 0;
+      if Array.length cells = 0 then pull () else Some cells
     end
   in
   pull
 
-let scan_prefix_pages t ~prefix =
+let has_prefix ~prefix key =
   let plen = Bytes.length prefix in
-  let inner = scan_range_pages ~lo:prefix t in
-  let finished = ref false in
+  let rec same i =
+    i = plen || (Char.equal (Bytes.get key i) (Bytes.get prefix i) && same (i + 1))
+  in
+  Bytes.length key >= plen && same 0
+
+let scan_range_pages ?lo ?hi t =
+  let stop =
+    match hi with
+    | None -> fun _ -> false
+    | Some hi -> fun key -> Bytes.compare key hi > 0
+  in
+  leaf_cursor t (descend t t.root lo) ~stop
+
+let scan_prefix_pages t ~prefix =
+  leaf_cursor t (descend t t.root (Some prefix)) ~stop:(fun key ->
+      not (has_prefix ~prefix key))
+
+(* Row cursors serve each page's copied cells from memory. *)
+let flatten pages =
+  let cells = ref [||] in
+  let pos = ref 0 in
   let rec pull () =
-    if !finished then None
+    if !pos < Array.length !cells then begin
+      incr pos;
+      Some !cells.(!pos - 1)
+    end
     else
-      match inner () with
-      | None ->
-        finished := true;
-        None
-      | Some cells ->
-        let matches (key, _) =
-          Bytes.length key >= plen && Bytes.equal (Bytes.sub key 0 plen) prefix
-        in
-        let n = Array.length cells in
-        let keep = ref n in
-        (try
-           for i = 0 to n - 1 do
-             if not (matches cells.(i)) then begin
-               keep := i;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        if !keep < n then finished := true;
-        if !keep = 0 then if !finished then None else pull ()
-        else if !keep = n then Some cells
-        else Some (Array.sub cells 0 !keep)
+      match pages () with
+      | None -> None
+      | Some page ->
+        cells := page;
+        pos := 0;
+        pull ()
   in
   pull
 
+let scan_range ?lo ?hi t = flatten (scan_range_pages ?lo ?hi t)
+let scan_prefix t ~prefix = flatten (scan_prefix_pages t ~prefix)
+
 let iter t f =
-  let cursor = scan_range t in
+  let pages = scan_range_pages t in
   let rec go () =
-    match cursor () with
+    match pages () with
     | None -> ()
-    | Some (k, v) ->
-      f k v;
+    | Some cells ->
+      Array.iter (fun (k, v) -> f k v) cells;
       go ()
   in
   go ()
@@ -668,7 +595,7 @@ let check_invariants ?(min_fill = 0.) t =
       follow (Buffer_pool.with_page t.pool pid Page.next)
     end
   in
-  follow (leftmost_leaf t t.root);
+  follow (fst (descend t t.root None));
   if not (List.equal Int.equal (List.rev !chain) (List.rev !leaf_list)) then
     fail "leaf chain does not match tree walk";
   if List.length !leaf_list <> t.leaves then

@@ -38,24 +38,33 @@ val find : t -> key:bytes -> bytes option
 val delete : t -> key:bytes -> bool
 (** Lazy delete; [true] if the key was present. *)
 
-val scan_range : ?lo:bytes -> ?hi:bytes -> t -> unit -> (bytes * bytes) option
-(** Pull cursor over entries with [lo <= key <= hi] (both inclusive,
-    both optional) in key order. *)
+(** {2 Scans}
 
-val scan_prefix : t -> prefix:bytes -> unit -> (bytes * bytes) option
-(** All entries whose key starts with [prefix], in key order. *)
+    Every scan pins each page once per visit: the descent pins one node
+    per level, then each pull of a page cursor pins the next leaf once
+    and copies out, inside that single [with_page] window, its cells up
+    to the scan's end.  The row cursors serve those copies from memory,
+    so a consumer's pace does not change which pages are read.  Each
+    descent level and each leaf visit counts one [btree.node_reads]. *)
 
 val scan_range_pages :
   ?lo:bytes -> ?hi:bytes -> t -> unit -> (bytes * bytes) array option
-(** Page-at-a-time variant of {!scan_range}: each pull pins one leaf and
-    returns all its qualifying cells (never an empty array), decoded
-    inside a single [with_page] window instead of one pool round-trip
-    per entry.  The batch scan operators are built on this. *)
+(** Page cursor over entries with [lo <= key <= hi] (both inclusive,
+    both optional) in key order: each pull returns the qualifying cells
+    of one leaf, never an empty array.  The batch scan operators are
+    built on this. *)
 
 val scan_prefix_pages : t -> prefix:bytes -> unit -> (bytes * bytes) array option
-(** Page-at-a-time variant of {!scan_prefix}. *)
+(** Page cursor over the entries whose key starts with [prefix]. *)
+
+val scan_range : ?lo:bytes -> ?hi:bytes -> t -> unit -> (bytes * bytes) option
+(** {!scan_range_pages}, one entry per pull. *)
+
+val scan_prefix : t -> prefix:bytes -> unit -> (bytes * bytes) option
+(** {!scan_prefix_pages}, one entry per pull. *)
 
 val iter : t -> (bytes -> bytes -> unit) -> unit
+(** Every entry in key order, over the page walk. *)
 
 val of_cursor : Buffer_pool.t -> (unit -> (bytes * bytes) option) -> t
 (** Bulk-load from a cursor yielding entries in strictly increasing key

@@ -66,47 +66,40 @@ let append t record =
 
 let get t rid = Buffer_pool.with_page t.pool rid.page (fun p -> Page.read_slot p rid.slot)
 
+(* The one page walk: pins a page once and copies its records out
+   inside that window, with the chain's next page (0 at the end). *)
+let read_page t page_id =
+  Buffer_pool.with_page t.pool page_id (fun p ->
+      (Array.init (Page.slot_count p) (Page.read_slot p), Page.next p))
+
 let iter t f =
   Metrics.incr m_scans;
   let rec go page_id =
-    let nslots, next =
-      Buffer_pool.with_page t.pool page_id (fun p -> (Page.slot_count p, Page.next p))
-    in
-    for slot = 0 to nslots - 1 do
-      let record = Buffer_pool.with_page t.pool page_id (fun p -> Page.read_slot p slot) in
-      f { page = page_id; slot } record
-    done;
-    if next <> 0 then go next
+    if page_id <> 0 then begin
+      let records, next = read_page t page_id in
+      Array.iteri (fun slot record -> f { page = page_id; slot } record) records;
+      go next
+    end
   in
   go t.first
 
 let scan t =
   Metrics.incr m_scans;
-  let page_id = ref t.first in
-  let slot = ref 0 in
-  let finished = ref false in
+  let next_page = ref t.first in
+  let records = ref [||] in
+  let pos = ref 0 in
   let rec pull () =
-    if !finished then None
+    if !pos < Array.length !records then begin
+      incr pos;
+      Some !records.(!pos - 1)
+    end
+    else if !next_page = 0 then None
     else begin
-      let nslots, next =
-        Buffer_pool.with_page t.pool !page_id (fun p -> (Page.slot_count p, Page.next p))
-      in
-      if !slot < nslots then begin
-        let record =
-          Buffer_pool.with_page t.pool !page_id (fun p -> Page.read_slot p !slot)
-        in
-        incr slot;
-        Some record
-      end
-      else if next = 0 then begin
-        finished := true;
-        None
-      end
-      else begin
-        page_id := next;
-        slot := 0;
-        pull ()
-      end
+      let page, next = read_page t !next_page in
+      records := page;
+      pos := 0;
+      next_page := next;
+      pull ()
     end
   in
   pull

@@ -25,12 +25,16 @@ val page_count : t -> int
 val record_count : t -> int
 
 val append : t -> bytes -> rid
-(** @raise Invalid_argument if the record cannot fit in a page. *)
+(** Two pins: a free-space probe of the last page, then the write.
+    @raise Invalid_argument if the record cannot fit in a page. *)
 
 val get : t -> rid -> bytes
 
 val iter : t -> (rid -> bytes -> unit) -> unit
+(** Every record with its rid, in order, pinning each page once. *)
 
 val scan : t -> (unit -> bytes option)
-(** A restartable pull cursor over all records in order; each call to
-    [scan] starts a fresh cursor. *)
+(** A pull cursor over all records in order; each call to [scan] starts
+    a fresh cursor.  Each page is pinned once, when the cursor reaches
+    it, and its records are copied out inside that window and served
+    from memory. *)

@@ -256,22 +256,35 @@ let test_heap_file () =
         (Printf.sprintf "record-%04d" i)
         (Bytes.to_string (S.Heap_file.get hf rid)))
     rids;
+  (* Scans copy each page's records out under one pin per page. *)
+  let pins f = S.Metrics.get (charged f) "latch.shared_acquisitions" in
+  let pages = S.Heap_file.page_count hf in
   (* scan in insertion order *)
   let scanned = ref [] in
-  S.Heap_file.iter hf (fun _ r -> scanned := Bytes.to_string r :: !scanned);
+  let iter_pins =
+    pins (fun () -> S.Heap_file.iter hf (fun _ r -> scanned := Bytes.to_string r :: !scanned))
+  in
   Alcotest.(check (list string)) "scan order" (List.map Bytes.to_string records)
     (List.rev !scanned);
+  Alcotest.(check int) "iter: one pin per page" pages iter_pins;
   (* reopen from the first page *)
   let hf2 = S.Heap_file.open_existing pool ~first_page:(S.Heap_file.first_page hf) in
   Alcotest.(check int) "reopened count" 200 (S.Heap_file.record_count hf2);
-  (* pull cursor agrees with iter *)
+  (* pull cursor agrees with iter; pulling past the end pins nothing *)
   let cursor = S.Heap_file.scan hf in
   let rec drain acc =
     match cursor () with
     | None -> List.rev acc
     | Some r -> drain (Bytes.to_string r :: acc)
   in
-  Alcotest.(check (list string)) "cursor order" (List.map Bytes.to_string records) (drain [])
+  let drained = ref [] in
+  let scan_pins =
+    pins (fun () ->
+        drained := drain [];
+        ignore (cursor ()))
+  in
+  Alcotest.(check (list string)) "cursor order" (List.map Bytes.to_string records) !drained;
+  Alcotest.(check int) "scan: one pin per page" pages scan_pins
 
 let test_heap_file_oversize () =
   let _, pool = fresh_pool ~page_size:128 () in
@@ -323,32 +336,6 @@ let btree_matches_model =
       S.Btree.iter bt (fun k v -> scanned := (dec_int k, Bytes.to_string v) :: !scanned);
       if List.rev !scanned <> M.bindings !model then ok := false;
       !ok)
-
-let btree_range_scan_model =
-  QCheck2.Test.make ~name:"btree range scans agree with Map model" ~count:40
-    G.(triple (list_size (int_range 1 300) (int_bound 500)) (int_bound 500) (int_bound 500))
-    (fun (keys, a, b) ->
-      let lo, hi = (min a b, max a b) in
-      let _, pool = fresh_pool ~page_size:256 () in
-      let bt = S.Btree.create pool in
-      let module M = Map.Make (Int) in
-      let model =
-        List.fold_left
-          (fun m k ->
-            S.Btree.insert bt ~key:(enc_int k) ~value:(enc_int (k * 2));
-            M.add k (k * 2) m)
-          M.empty keys
-      in
-      let cursor = S.Btree.scan_range ~lo:(enc_int lo) ~hi:(enc_int hi) bt in
-      let rec drain acc =
-        match cursor () with
-        | None -> List.rev acc
-        | Some (k, _) -> drain (dec_int k :: acc)
-      in
-      let expected =
-        M.bindings model |> List.map fst |> List.filter (fun k -> lo <= k && k <= hi)
-      in
-      drain [] = expected)
 
 let test_btree_replace_and_meta () =
   let _, pool = fresh_pool () in
@@ -426,6 +413,139 @@ let test_btree_prefix_scan () =
   let cursor = S.Btree.scan_prefix bt ~prefix:(enc_str "a") in
   let rec count n = if cursor () = None then n else count (n + 1) in
   Alcotest.(check int) "prefix a matches exactly its group" 3 (count 0)
+
+(* Keys [(k / 50, k)] as two fixed-width ints: groups of 50 consecutive
+   [k] share an 8-byte prefix. *)
+let group_key k =
+  let buf = Buffer.create 16 in
+  S.Bytes_codec.key_int buf (k / 50);
+  S.Bytes_codec.key_int buf k;
+  Buffer.to_bytes buf
+
+let dec_group_key key = dec_int (Bytes.sub key 8 8)
+
+let drain_rows cursor =
+  let rec go acc =
+    match cursor () with
+    | None -> List.rev acc
+    | Some (k, v) -> go ((dec_group_key k, dec_int v) :: acc)
+  in
+  go []
+
+let drain_pages cursor =
+  let rec go acc =
+    match cursor () with
+    | None -> List.rev acc
+    | Some cells ->
+      if Array.length cells = 0 then failwith "page cursor returned an empty page";
+      go (List.rev_append (Array.to_list cells) acc)
+  in
+  List.map (fun (k, v) -> (dec_group_key k, dec_int v)) (go [])
+
+(* Row cursors are the flattened page cursors: both agree with a sorted
+   model for any bounds, including bounds on leaf edges (the first and
+   last key of a leaf, and their neighbours) and empty ranges; deletes
+   leave empty leaves to walk past. *)
+let btree_range_scan_model =
+  QCheck2.Test.make ~name:"btree range scans agree with Map model" ~count:60
+    G.(
+      pair
+        (pair
+           (list_size (int_range 0 400) (int_bound 700))
+           (list_size (int_range 0 300) (int_bound 700)))
+        (pair (quad bool (int_bound 720) (int_bound 720) (int_bound 1000)) (int_bound 15)))
+    (fun ((inserts, deletes), ((on_edges, a, b, pick), g)) ->
+      let _, pool = fresh_pool ~page_size:256 () in
+      let bt = S.Btree.create pool in
+      let module M = Map.Make (Int) in
+      let model =
+        List.fold_left
+          (fun m k ->
+            S.Btree.insert bt ~key:(group_key k) ~value:(enc_int (k * 2));
+            M.add k (k * 2) m)
+          M.empty inserts
+      in
+      let model =
+        List.fold_left
+          (fun m k ->
+            ignore (S.Btree.delete bt ~key:(group_key k));
+            M.remove k m)
+          model deletes
+      in
+      (* Leaf edges, read off the full page scan. *)
+      let edges =
+        let pages = S.Btree.scan_range_pages bt in
+        let rec go acc =
+          match pages () with
+          | None -> acc
+          | Some cells ->
+            let first = dec_group_key (fst cells.(0)) in
+            let last = dec_group_key (fst cells.(Array.length cells - 1)) in
+            go ([ first - 1; first; last; last + 1 ] @ acc)
+        in
+        Array.of_list (List.filter (fun k -> k >= 0) (go []))
+      in
+      let lo, hi =
+        if on_edges && Array.length edges > 0 then
+          (edges.(pick mod Array.length edges), edges.((pick + a) mod Array.length edges))
+        else (a, b)
+      in
+      let all = M.bindings model in
+      let in_range = List.filter (fun (k, _) -> lo <= k && k <= hi) all in
+      let in_group = List.filter (fun (k, _) -> k / 50 = g) all in
+      let lo = group_key lo and hi = group_key hi and prefix = enc_int g in
+      drain_rows (S.Btree.scan_range bt) = all
+      && drain_pages (S.Btree.scan_range_pages bt) = all
+      && drain_rows (S.Btree.scan_range ~lo ~hi bt) = in_range
+      && drain_pages (S.Btree.scan_range_pages ~lo ~hi bt) = in_range
+      && drain_rows (S.Btree.scan_prefix bt ~prefix) = in_group
+      && drain_pages (S.Btree.scan_prefix_pages bt ~prefix) = in_group)
+
+(* A row scan pins each leaf once: the descent pins one page per level
+   (the leaf's window also finds the first slot), then every leaf the
+   walk visits is pinned once, including the one whose first key ends
+   the scan.  [btree.node_reads] counts the same visits. *)
+let test_btree_row_scans_one_pin_per_leaf () =
+  let _, pool = fresh_pool () in
+  let n = 200 in
+  let next = ref 0 in
+  let bt =
+    S.Btree.of_cursor pool (fun () ->
+        if !next >= n then None
+        else begin
+          incr next;
+          Some (group_key (!next - 1), enc_int 0)
+        end)
+  in
+  (* Bulk load packs equal-size cells: every leaf but the last holds
+     [per_leaf] entries, so key [k] lives in leaf [k / per_leaf]. *)
+  let per_leaf = Array.length (Option.get (S.Btree.scan_range_pages bt ())) in
+  let height = S.Btree.height bt in
+  Alcotest.(check bool) "a group spans several leaves" true (50 > 2 * per_leaf);
+  Alcotest.(check bool) "multi-level tree" true (height > 1);
+  (* Rows [first..last]; the walk also visits the leaf holding [last + 1]. *)
+  let expect name ~first ~last cursor =
+    let rows = ref 0 in
+    let c =
+      charged (fun () ->
+          let cursor = cursor () in
+          while Option.is_some (cursor ()) do
+            incr rows
+          done)
+    in
+    let leaves = ((last + 1) / per_leaf) - (first / per_leaf) + 1 in
+    Alcotest.(check int) (name ^ ": rows") (last - first + 1) !rows;
+    Alcotest.(check int) (name ^ ": pins = descent + leaves") (height + leaves)
+      (S.Metrics.get c "latch.shared_acquisitions");
+    Alcotest.(check int) (name ^ ": node reads = descent + leaves") (height + leaves)
+      (S.Metrics.get c "btree.node_reads")
+  in
+  let range lo hi () = S.Btree.scan_range ~lo:(group_key lo) ~hi:(group_key hi) bt in
+  let lo = per_leaf + 3 and hi = (3 * per_leaf) + 5 in
+  expect "range" ~first:lo ~last:hi (range lo hi);
+  let lo = per_leaf and hi = (3 * per_leaf) - 1 in
+  expect "range ending on a leaf edge" ~first:lo ~last:hi (range lo hi);
+  expect "prefix" ~first:50 ~last:99 (fun () -> S.Btree.scan_prefix bt ~prefix:(enc_int 1))
 
 (* --- external sort ----------------------------------------------------------- *)
 
@@ -1605,6 +1725,8 @@ let () =
       ( "btree",
         [ prop btree_matches_model;
           prop btree_range_scan_model;
+          Alcotest.test_case "row scans pin each leaf once" `Quick
+            test_btree_row_scans_one_pin_per_leaf;
           prop btree_occupancy;
           Alcotest.test_case "replace and reopen" `Quick test_btree_replace_and_meta;
           Alcotest.test_case "bulk load" `Quick test_btree_bulk_load;
