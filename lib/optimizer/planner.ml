@@ -894,18 +894,14 @@ let build ctx plan =
           | Some keep -> not (List.exists (fun (c : A.col) -> String.equal c.A.rel step.alias) keep)
           | None -> false
         in
-        let materialize_inner =
-          match plan.config.materialize with
-          | `Disk -> `Disk
-          | `Mem -> `Mem
-        in
         let join_to l =
           match step.join with
           | First -> access_op step local
           | Nl preds ->
             let inner = access_op step local in
             (match plan.config.order with
-             | `Preserve -> Op.nl_join ~materialize_inner ~semi ~preds l inner ctx
+             | `Preserve ->
+               Op.nl_join ~materialize_inner:plan.config.materialize ~semi ~preds l inner ctx
              | `Mem_sort | `Ext_sort | `Btree_sort ->
                (* Order is restored by the final sort, so the cheaper,
                   order-destroying block join is allowed. *)

@@ -420,6 +420,36 @@ type probe =
   | Probe_desc of A.operand * A.operand
   | Probe_pk of A.operand
 
+(* Value-keyed buckets for the keyed in-memory inner of {!nl_join}.
+   [Tuple.value_equal] keeps [I 3] and [S "3"] apart even when their
+   hashes collide. *)
+module Value_tbl = Hashtbl.Make (struct
+  type t = Tuple.value
+
+  let equal = Tuple.value_equal
+  let hash = function Tuple.I n -> Int.hash n | Tuple.S s -> String.hash s
+end)
+
+(* The first predicate equating an outer column with an inner one, in
+   either orientation: [(outer position, inner position, inner column)].
+   The inner column must not also be an outer one, or the join predicate
+   would read the outer copy and the buckets would be keyed on the wrong
+   value. *)
+let equi_key left right preds =
+  let key outer inner =
+    if List.mem outer left.schema && List.mem inner right.schema
+       && not (List.mem inner left.schema)
+    then Some (Tuple.position left.schema outer, Tuple.position right.schema inner, inner)
+    else None
+  in
+  List.find_map
+    (fun (p : A.pred) ->
+      match p with
+      | { A.left = A.Ocol a; op = A.Eq; right = A.Ocol b } ->
+        (match key a b with Some k -> Some k | None -> key b a)
+      | _ -> None)
+    preds
+
 let nl_join ?(materialize_inner = `Mem) ?(semi = false) ~preds left right ctx =
   let schema = left.schema @ right.schema in
   let keep = Tuple.compile_preds ~params:ctx.params schema preds in
@@ -427,22 +457,45 @@ let nl_join ?(materialize_inner = `Mem) ?(semi = false) ~preds left right ctx =
   (* Inner-side cache.  [clear] drops it on rebind, but only when the
      inner subtree reads parameter slots — a parameter-independent inner
      cache is valid for every outer binding and surviving rebinds is the
-     template payoff. *)
+     template payoff.  [inner_rewind l] restarts the inner for outer row
+     [l]. *)
   let inner_next, inner_rewind, inner_clear, cache_detail =
     match materialize_inner with
-    | `None ->
-      let rc = cursor_of right in
-      (rc.pull, rc.restart, ignore, "recompute")
     | `Mem ->
+      (* With an equi-join key the cache is also bucketed by the inner
+         key, each bucket in inner order, and an outer row walks only its
+         own bucket: the rows skipped are exactly those the key predicate
+         would reject, so output, order and semi's first match are the
+         full loop's.  The inner is drained exactly as without a key. *)
+      let key = equi_key left right preds in
       let cache = ref None in
       let pos = ref [] in
       let fill () =
         match !cache with
         | Some c -> c
         | None ->
-          let c = drain right in
-          cache := Some c;
-          c
+          let rows = drain right in
+          let index =
+            Option.map
+              (fun (li, ri, _) ->
+                let tbl = Value_tbl.create 64 in
+                List.iter
+                  (fun r ->
+                    let k = r.(ri) in
+                    let bucket = Option.value ~default:[] (Value_tbl.find_opt tbl k) in
+                    Value_tbl.replace tbl k (r :: bucket))
+                  (List.rev rows);
+                (li, tbl))
+              key
+          in
+          cache := Some (rows, index);
+          (rows, index)
+      in
+      let rewind l =
+        pos :=
+          match fill () with
+          | _, Some (li, tbl) -> Option.value ~default:[] (Value_tbl.find_opt tbl l.(li))
+          | rows, None -> rows
       in
       let next () =
         match !pos with
@@ -455,7 +508,13 @@ let nl_join ?(materialize_inner = `Mem) ?(semi = false) ~preds left right ctx =
         cache := None;
         pos := []
       in
-      (next, (fun () -> pos := fill ()), clear, "inner in memory")
+      let detail =
+        match key with
+        | None -> "inner in memory"
+        | Some (_, _, c) ->
+          "inner in memory, keyed on " ^ Xqdb_tpm.Tpm_print.operand_to_string (A.Ocol c)
+      in
+      (next, rewind, clear, detail)
     | `Disk ->
       let rc = cursor_of right in
       let spool = ref None in
@@ -486,7 +545,7 @@ let nl_join ?(materialize_inner = `Mem) ?(semi = false) ~preds left right ctx =
         spool := None;
         cursor := (fun () -> None)
       in
-      (next, (fun () -> cursor := Xqdb_storage.Heap_file.scan (fill ())), clear, "inner on disk")
+      (next, (fun _ -> cursor := Xqdb_storage.Heap_file.scan (fill ())), clear, "inner on disk")
   in
   let current_left = ref None in
   let gen () =
@@ -497,7 +556,7 @@ let nl_join ?(materialize_inner = `Mem) ?(semi = false) ~preds left right ctx =
          | None -> None
          | Some l ->
            current_left := Some l;
-           inner_rewind ();
+           inner_rewind l;
            step ())
       | Some l ->
         (match inner_next () with

@@ -212,7 +212,7 @@ type probe =
   | Probe_pk of A.operand  (** inner.in = v: primary lookup *)
 
 val nl_join :
-  ?materialize_inner:[`Mem | `Disk | `None] ->
+  ?materialize_inner:[`Mem | `Disk] ->
   ?semi:bool ->
   preds:A.pred list ->
   t ->
@@ -221,9 +221,14 @@ val nl_join :
   t
 (** Order-preserving nested-loop join (a product when [preds] is []).
     The inner input is re-iterated per outer tuple: cached in memory
-    ([`Mem], default), spooled to disk ([`Disk], milestone 3's mode), or
-    recomputed via [reset] ([`None]).  With [semi], at most one match is
-    emitted per outer tuple (the short-circuit a semijoin affords). *)
+    ([`Mem], default) or spooled to disk ([`Disk], milestone 3's mode).
+    A [`Mem] inner is also keyed on the first predicate equating an
+    outer column with an inner one: each outer tuple walks only the
+    cached rows with its key value, in inner order, so rows, order,
+    stats and page I/O are the full loop's.  A [`Disk] inner is never
+    keyed — each rescan pays its page visits.  With [semi], at most one
+    match is emitted per outer tuple (the short-circuit a semijoin
+    affords). *)
 
 val bnl_join :
   ?block_size:int ->

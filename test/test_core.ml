@@ -454,6 +454,17 @@ let test_explain_stages_and_analyze () =
         (contains analyzed fragment))
     ["== analyze =="; "status: ok"; "page I/Os:"; "site 0:"; "rows"]
 
+(* Efficiency test 2 joins each volume to its text children through an
+   in-memory inner; m4 keys that inner on the child's parent column. *)
+let test_explain_keyed_nl_join () =
+  let engine = Engine.load_forest ~config:Config.m4 [W.Dblp_gen.generate (W.Dblp_gen.scaled 60)] in
+  let q =
+    Xqdb_xq.Xq_parser.parse (List.assoc "test2-needle" Xqdb_testbed.Queries.efficiency_queries)
+  in
+  let analyzed = Engine.explain ~analyze:true engine q in
+  Alcotest.(check bool) "keyed nl-join in explain --analyze" true
+    (contains analyzed "nl-join [T.parent_in = V.in; inner in memory, keyed on T.parent_in]")
+
 (* --- multi-document databases -------------------------------------------------- *)
 
 module DB = Xqdb_core.Database
@@ -654,6 +665,7 @@ let () =
         [ Alcotest.test_case "explain" `Quick test_explain;
           Alcotest.test_case "explain stages and analyze" `Quick
             test_explain_stages_and_analyze;
+          Alcotest.test_case "explain names the join key" `Quick test_explain_keyed_nl_join;
           Alcotest.test_case "accessors" `Quick test_document_accessors ] );
       ( "databases",
         [ Alcotest.test_case "multiple documents" `Quick test_database_basics;

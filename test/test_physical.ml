@@ -148,7 +148,7 @@ let test_product_and_modes () =
   (* 5 elements x 3 texts. *)
   List.iter
     (fun mode -> Alcotest.(check int) "product size" 15 (Op.count (make mode)))
-    [`Mem; `Disk; `None]
+    [`Mem; `Disk]
 
 let test_bnl_join () =
   let _, ctx = make_store () in
@@ -202,6 +202,71 @@ let test_semi_join () =
   in
   let lefts = ins_of semi in
   Alcotest.(check (list int)) "one row per qualifying element" [4; 8; 13] lefts
+
+(* An in-memory relation as an operator, one row per batch. *)
+let relation schema rows =
+  let width = List.length schema in
+  let remaining = ref rows in
+  { Op.schema;
+    next_batch =
+      (fun () ->
+        match !remaining with
+        | [] -> None
+        | r :: rest ->
+          remaining := rest;
+          Some (Tuple.batch_of_list ~width [r]));
+    reset = (fun () -> remaining := rows);
+    info = { Op.name = "values"; detail = ""; children = [] };
+    stats = { Op.rows = 0; batches = 0; ios = 0; seconds = 0. };
+    kids = [];
+    param_dep = false;
+    clear = ignore }
+
+let keyed_ctx = lazy (Op.make_ctx ~batch_size:3 (snd (make_store ())).Op.store)
+
+(* The keyed in-memory inner must reproduce the plain loop over a disk
+   spool (never keyed) row for row, order and stats included.  Keys mix
+   ints and strings — [I n] must not meet [S "n"] — and repeat or miss;
+   the key predicate comes in either orientation, alongside a residual
+   [Lt] and a second equality, with and without semi. *)
+let keyed_join_agrees =
+  let open QCheck2.Gen in
+  let key = oneof [map (fun n -> Tuple.I n) (int_bound 4);
+                   map (fun n -> Tuple.S (string_of_int n)) (int_bound 4)] in
+  let rows = list_size (int_bound 12) (pair key (int_bound 2)) in
+  QCheck2.Test.make ~name:"keyed in-memory nl-join = disk nl-join" ~count:300
+    (triple rows rows (tup5 bool bool bool bool bool))
+    (fun (outer, inner, (flip, lt, eq2, eq2_first, semi)) ->
+      let ctx = Lazy.force keyed_ctx in
+      (* Columns: key, row number, a small attribute for the second
+         equality. *)
+      let table alias rows =
+        relation
+          [A.col alias A.Value; A.col alias A.In; A.col alias A.Out]
+          (List.mapi (fun i (k, a) -> [| k; Tuple.I i; Tuple.I a |]) rows)
+      in
+      let key_pred =
+        if flip then eq (ocol "R" A.Value) (ocol "L" A.Value)
+        else eq (ocol "L" A.Value) (ocol "R" A.Value)
+      in
+      let second = eq (ocol "L" A.Out) (ocol "R" A.Out) in
+      let preds =
+        (if eq2 && eq2_first then [second] else [])
+        @ [key_pred]
+        @ (if lt then [{ A.left = ocol "L" A.In; op = A.Lt; right = ocol "R" A.In }] else [])
+        @ (if eq2 && not eq2_first then [second] else [])
+      in
+      let run mode =
+        let op =
+          Op.nl_join ~materialize_inner:mode ~semi ~preds (table "L" outer) (table "R" inner) ctx
+        in
+        let out = Op.drain op in
+        (op.Op.info.Op.detail, (out, op.Op.stats.Op.rows, op.Op.stats.Op.batches))
+      in
+      let detail, mem = run `Mem in
+      let _, disk = run `Disk in
+      let key_col = if eq2 && eq2_first then "R.out" else "R.value" in
+      String.ends_with ~suffix:("keyed on " ^ key_col) detail && mem = disk)
 
 (* --- structural operators -------------------------------------------------- *)
 
@@ -409,6 +474,33 @@ let test_rebind_cache_policy () =
   let join2 = Op.nl_join ~preds:[] outer2 inner2 ctx in
   Alcotest.(check int) "2 names x 1 root child" 2 (rows join2 1);
   Alcotest.(check int) "2 names x 2 authors children" 4 (rows join2 3)
+
+(* A keyed inner that reads parameter slots is re-drained and re-keyed
+   after every rebind; an index kept across the rebind would replay the
+   first binding's matches. *)
+let test_rebind_rekeys_inner () =
+  let _, base = make_store () in
+  let params = Tuple.make_params ["v"] in
+  let ctx = Op.with_params base params in
+  let outer = Op.full_scan ctx "P" ~preds:[elem_pred "P"] in
+  (* Element children, restricted to those after $v. *)
+  let inner =
+    Op.full_scan ctx "C"
+      ~preds:[elem_pred "C"; { A.left = ocol "C" A.In; op = A.Gt; right = A.Oextern_in "v" }]
+  in
+  let join = Op.nl_join ~preds:[eq (ocol "P" A.In) (ocol "C" A.Parent_in)] outer inner ctx in
+  Alcotest.(check string) "inner keyed on its parent column"
+    "P.in = C.parent_in; inner in memory, keyed on C.parent_in" join.Op.info.Op.detail;
+  let pairs nin =
+    Tuple.bind_params params (fun _ -> (nin, 0));
+    Op.rebind join;
+    join.Op.reset ();
+    List.map (fun t -> (int_of t.(0), int_of t.(5))) (Op.drain join)
+  in
+  let all = [(2, 3); (2, 13); (3, 4); (3, 8)] in
+  Alcotest.(check (list (pair int int))) "every parent-child pair" all (pairs 1);
+  Alcotest.(check (list (pair int int))) "only children after in 5" [(2, 13); (3, 8)] (pairs 5);
+  Alcotest.(check (list (pair int int))) "rebinding back agrees" all (pairs 1)
 
 (* --- pin safety under disk faults ------------------------------------------ *)
 
@@ -634,7 +726,8 @@ let () =
           Alcotest.test_case "primary-key probe" `Quick test_pk_probe;
           Alcotest.test_case "products and inner modes" `Quick test_product_and_modes;
           Alcotest.test_case "block nested loops" `Quick test_bnl_join;
-          Alcotest.test_case "semijoin early-out" `Quick test_semi_join ] );
+          Alcotest.test_case "semijoin early-out" `Quick test_semi_join;
+          prop keyed_join_agrees ] );
       ( "structural",
         [ Alcotest.test_case "struct scan" `Quick test_struct_scan;
           Alcotest.test_case "staircase join = index join" `Quick test_struct_join_agrees;
@@ -646,7 +739,8 @@ let () =
           Alcotest.test_case "materialize" `Quick test_materialize ] );
       ( "params",
         [ Alcotest.test_case "bind and rebind" `Quick test_params_rebind;
-          Alcotest.test_case "rebind cache policy" `Quick test_rebind_cache_policy ] );
+          Alcotest.test_case "rebind cache policy" `Quick test_rebind_cache_policy;
+          Alcotest.test_case "rebind re-keys the inner" `Quick test_rebind_rekeys_inner ] );
       ( "pin safety",
         [ Alcotest.test_case "label_scan fault leaves no pins" `Quick
             test_label_scan_fault_pins;
