@@ -23,16 +23,7 @@ let scale =
 let grade =
   Arg.(value & flag & info ["grade"] ~doc:"Also run the Section-3 grading demo course.")
 
-let json_file =
-  Arg.(
-    value
-    & opt (some string) None
-    & info ["json"] ~docv:"FILE"
-        ~doc:
-          "Write the efficiency table (with full per-operator profiles) as a \
-           machine-readable JSON report to $(docv).")
-
-let run_action correctness_only efficiency_only scale grade json_file =
+let run_action correctness_only efficiency_only scale grade =
   let failed = ref false in
   if not efficiency_only then begin
     let outcomes = T.Correctness.run () in
@@ -43,12 +34,7 @@ let run_action correctness_only efficiency_only scale grade json_file =
     let table = T.Efficiency.run ~scale () in
     print_newline ();
     print_string (T.Efficiency.render table);
-    print_string (T.Efficiency.shape table);
-    match json_file with
-    | Some file ->
-      T.Report.write_file file (T.Report.fig7_json table);
-      Printf.printf "wrote %s\n" file
-    | None -> ()
+    print_string (T.Efficiency.shape table)
   end;
   if grade then begin
     let module Config = Xqdb_core.Engine_config in
@@ -67,7 +53,7 @@ let run_action correctness_only efficiency_only scale grade json_file =
   if !failed then exit 1
 
 let run_term =
-  Term.(const run_action $ correctness_only $ efficiency_only $ scale $ grade $ json_file)
+  Term.(const run_action $ correctness_only $ efficiency_only $ scale $ grade)
 
 let run_cmd =
   Cmd.v
@@ -333,7 +319,7 @@ let explain_cmd =
           over the fixed Figure-2 document — the text the golden tests diff.")
     Term.(const explain_action $ explain_config)
 
-(* --- check-bench: CI's sanity check over BENCH_*.json -------------------- *)
+(* --- check-bench: CI's sanity check over harness reports ----------------- *)
 
 let bench_files =
   Arg.(non_empty & pos_all string [] & info [] ~docv:"FILE" ~doc:"Report file to validate.")
@@ -354,12 +340,12 @@ let check_bench_cmd =
   Cmd.v
     (Cmd.info "check-bench"
        ~doc:
-         "Validate machine-readable benchmark reports: schema envelope, result \
-          quintets, profile reconciliation (reads + writes = operator_ios + \
-          other_ios, operator trees internally consistent), and the gate of \
-          the report's kind: constant templates_built for templates, a \
-          deep-test page-I/O gain for structural, a batch-execution gain for \
-          fig7 reports that carry a batch comparison.")
+         "Validate the machine-readable reports of the crash, traffic and chaos \
+          harnesses: the current schema_version, one of those three kinds, and \
+          the kind's result checks and gate — a crash point within the observed \
+          events; for traffic and chaos, outcome counts that partition the \
+          requests, zero oracle mismatches and ordered latency percentiles; for \
+          chaos, zero untyped escapes.")
     Term.(const check_bench_action $ bench_files)
 
 (* --- lint: the storage-safety static analyzer, testbed form ------------- *)

@@ -8,7 +8,6 @@ type cell = {
   page_ios : int;
   seconds : float;
   censored : bool;
-  profile : Engine.profile;
 }
 
 type table = {
@@ -43,15 +42,13 @@ let run ?(configs = Engine_config.figure7_engines)
                 test;
                 page_ios = result.Engine.page_ios;
                 seconds = result.Engine.elapsed;
-                censored = false;
-                profile = result.Engine.profile }
+                censored = false }
             | Engine.Budget_exceeded _ ->
               { engine = config.Engine_config.name;
                 test;
                 page_ios = budget;
                 seconds = result.Engine.elapsed;
-                censored = true;
-                profile = result.Engine.profile }
+                censored = true }
             | Engine.Timeout msg ->
               Xqdb_storage.Xqdb_error.internal "efficiency test timed out: %s" msg
             | Engine.Error msg ->

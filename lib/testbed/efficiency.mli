@@ -14,8 +14,6 @@ type cell = {
   page_ios : int;  (** capped at the budget when censored *)
   seconds : float;
   censored : bool;
-  profile : Xqdb_core.Engine.profile;
-      (** full observability breakdown — partial on censored runs *)
 }
 
 type table = {

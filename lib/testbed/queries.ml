@@ -52,5 +52,11 @@ let example6 =
   "for $x in //article return if (some $v in $x/volume satisfies true()) then (for $y in \
    $x//author return $y) else ()"
 
+let deep_queries =
+  [ ("deep-twig", "for $s in //S return for $np in $s//NP return for $nn in $np//NN return $nn");
+    ("deep-pair", "for $np in //NP return for $nn in $np//NN return $nn");
+    ("deep-semi",
+     "for $np in //NP return if (some $vb in $np//VB satisfies true()) then <hit/> else ()") ]
+
 let parsed queries =
   List.map (fun (name, src) -> (name, Xqdb_xq.Xq_parser.parse src)) queries

@@ -23,4 +23,10 @@ val example6 : string
 (** The milestone-4 example query of Section 2 (authors of articles that
     have information on proceedings volume). *)
 
+val deep_queries : (string * string) list
+(** (name, XQ source), 3 entries, meant for Treebank-like data: a
+    three-step descendant twig, a descendant pair and a descendant
+    semijoin — the paths the structural index family answers with
+    staircase and twig plans instead of per-outer probes. *)
+
 val parsed : (string * string) list -> (string * Xqdb_xq.Xq_ast.query) list

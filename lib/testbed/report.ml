@@ -1,5 +1,3 @@
-module Engine = Xqdb_core.Engine
-
 type json =
   | Null
   | Bool of bool
@@ -243,58 +241,14 @@ let member key = function
 
 (* --- serializers -------------------------------------------------------- *)
 
-let rec op_json (o : Engine.op_profile) =
-  Obj
-    [ ("op", Str o.op);
-      ("args", Str o.args);
-      ("rows", Int o.rows);
-      ("batches", Int o.batches);
-      ("ios", Int o.ios);
-      ("own_ios", Int o.own_ios);
-      ("seconds", Float o.seconds);
-      ("own_seconds", Float o.own_seconds);
-      ("inputs", Arr (List.map op_json o.inputs)) ]
-
-let profile_json (p : Engine.profile) =
-  Obj
-    [ ("reads", Int p.reads);
-      ("writes", Int p.writes);
-      ("allocs", Int p.allocs);
-      ("counters", Obj (List.map (fun (name, v) -> (name, Int v)) p.counters));
-      ("operator_ios", Int p.operator_ios);
-      ("other_ios", Int p.other_ios);
-      ("operators", Arr (List.map op_json p.operators)) ]
-
-let result_json ?(extra = []) ~engine ~test (r : Engine.result) =
-  Obj
-    ([ ("engine", Str engine); ("test", Str test) ]
-    @ extra
-    @ [ ("page_ios", Int r.page_ios);
-        ("seconds", Float r.elapsed);
-        ( "censored",
-          Bool (match r.status with Engine.Budget_exceeded _ -> true | _ -> false) );
-        ("profile", profile_json r.profile) ])
-
-let cell_json (c : Efficiency.cell) =
-  Obj
-    [ ("engine", Str c.engine);
-      ("test", Str c.test);
-      ("page_ios", Int c.page_ios);
-      ("seconds", Float c.seconds);
-      ("censored", Bool c.censored);
-      ("profile", profile_json c.profile) ]
-
 (* Bumped on every schema change; reports are regenerated, never
    migrated, so only the current version validates. *)
-let schema_version = 10
+let schema_version = 11
 
 let bench_json ~kind extra ~results =
   Obj
     ((("schema_version", Int schema_version) :: ("kind", Str kind) :: extra)
     @ [("results", Arr results)])
-
-let fig7_json (table : Efficiency.table) =
-  bench_json ~kind:"fig7" [("budget", Int table.budget)] ~results:(List.map cell_json table.cells)
 
 (* One result object per crash point, flat, so CI can grep a failing
    (trial, point) pair straight out of the artifact. *)
@@ -442,83 +396,6 @@ let check_all check items =
       check item)
     (Ok ()) items
 
-let rec validate_op op =
-  let* _ = need "op" (member "op" op) in
-  let* ios = int_field op "ios" in
-  let* own = int_field op "own_ios" in
-  let* rows = int_field op "rows" in
-  let* batches = int_field op "batches" in
-  if rows < 0 then Error "negative rows"
-  else if own < 0 then Error "negative own_ios"
-  else if batches < 0 then Error "negative batches"
-  else if batches > rows then
-    (* Every non-empty batch holds at least one row. *)
-    Error (Printf.sprintf "batches %d exceed rows %d" batches rows)
-  else
-    let* inputs = need "inputs" (member "inputs" op) in
-    let* inputs = as_arr "inputs" inputs in
-    let* kid_ios =
-      List.fold_left
-        (fun acc input ->
-          let* acc = acc in
-          let* () = validate_op input in
-          let* i = int_field input "ios" in
-          Ok (acc + i))
-        (Ok 0) inputs
-    in
-    if own + kid_ios <> ios then
-      Error
-        (Printf.sprintf "operator I/O does not partition: own %d + inputs %d <> %d" own
-           kid_ios ios)
-    else Ok ()
-
-let validate_profile p =
-  let* reads = int_field p "reads" in
-  let* writes = int_field p "writes" in
-  let* op_ios = int_field p "operator_ios" in
-  let* other = int_field p "other_ios" in
-  if op_ios + other <> reads + writes then
-    Error
-      (Printf.sprintf "profile does not reconcile: operator %d + other %d <> reads %d + writes %d"
-         op_ios other reads writes)
-  else
-    let* operators = need "operators" (member "operators" p) in
-    let* operators = as_arr "operators" operators in
-    let* roots_ios =
-      List.fold_left
-        (fun acc op ->
-          let* acc = acc in
-          let* () = validate_op op in
-          let* i = int_field op "ios" in
-          Ok (acc + i))
-        (Ok 0) operators
-    in
-    if roots_ios <> op_ios then
-      Error (Printf.sprintf "operator_ios %d <> sum of operator roots %d" op_ios roots_ios)
-    else
-      let* _ = need "counters" (member "counters" p) in
-      Ok ()
-
-let validate_result r =
-  let* _ = str_field r "engine" in
-  let* _ = str_field r "test" in
-  let* page_ios = int_field r "page_ios" in
-  let* _ = number_field r "seconds" in
-  let* censored = need "censored" (member "censored" r) in
-  let* censored = as_bool "censored" censored in
-  let* profile = need "profile" (member "profile" r) in
-  (* A censored run's page_ios is the assigned budget, not the raw
-     counter delta, so only uncensored results must reconcile against
-     the top-level number; the profile must still be self-consistent. *)
-  let* () = validate_profile profile in
-  if censored then Ok ()
-  else
-    let* reads = int_field profile "reads" in
-    let* writes = int_field profile "writes" in
-    if reads + writes <> page_ios then
-      Error (Printf.sprintf "page_ios %d <> profile reads %d + writes %d" page_ios reads writes)
-    else Ok ()
-
 (* A crash-sweep result: one crash point's verdict, no profile. *)
 let validate_crash_result r =
   let* trial = int_field r "trial" in
@@ -592,86 +469,6 @@ let validate_chaos_result r =
       ~outcomes:(session_outcomes @ ["unavailable"])
       ~oracle:"fault-free" r
 
-(* A counter delta from a result's profile; zero deltas are omitted. *)
-let profile_counter r name =
-  match Option.bind (Option.bind (member "profile" r) (member "counters")) (member name) with
-  | None -> Ok 0
-  | Some v -> as_int name v
-
-(* The compile-once gate over a templates report: within it, every
-   (engine, test) pair must show the same planner.templates_built
-   across all its results — a count that grows with data size means
-   planning happens per outer tuple again. *)
-let validate_constant_templates results =
-  let* keyed =
-    List.fold_left
-      (fun acc r ->
-        let* acc = acc in
-        let* engine = str_field r "engine" in
-        let* test = str_field r "test" in
-        let* built = profile_counter r "planner.templates_built" in
-        Ok ((engine ^ " / " ^ test, built) :: acc))
-      (Ok []) results
-  in
-  List.fold_left
-    (fun acc (key, built) ->
-      let* seen = acc in
-      match List.assoc_opt key seen with
-      | None -> Ok ((key, built) :: seen)
-      | Some prev when prev = built -> Ok seen
-      | Some prev ->
-        Error
-          (Printf.sprintf
-             "templates_built varies with scale for %s: %d vs %d — planning is not compile-once"
-             key prev built))
-    (Ok []) (List.rev keyed)
-  |> Result.map (fun _ -> ())
-
-(* The structural-gain gate: every "deep-*" test of a structural report
-   must show the m4 plans doing strictly less page I/O than the same
-   engine with structural indexes disabled.  Shallow tests are exempt —
-   the index family deliberately stays out of their plans. *)
-let validate_structural_gain results =
-  let* keyed =
-    List.fold_left
-      (fun acc r ->
-        let* acc = acc in
-        let* engine = str_field r "engine" in
-        let* test = str_field r "test" in
-        let* ios = int_field r "page_ios" in
-        Ok ((test, (engine, ios)) :: acc))
-      (Ok []) results
-  in
-  let deep_tests =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun (test, _) ->
-           if String.length test >= 4 && String.equal (String.sub test 0 4) "deep" then
-             Some test
-           else None)
-         keyed)
-  in
-  if deep_tests = [] then Error "no deep-* structural tests in the report"
-  else
-    check_all
-      (fun test ->
-        let ios_of engine =
-          List.find_map
-            (fun (t, (e, ios)) ->
-              if String.equal t test && String.equal e engine then Some ios else None)
-            keyed
-        in
-        match ios_of "m4", ios_of "m4-nostruct" with
-        | Some with_struct, Some without when with_struct < without -> Ok ()
-        | Some with_struct, Some without ->
-          Error
-            (Printf.sprintf
-               "%s: structural plans show no page-I/O gain (m4 %d vs m4-nostruct %d)"
-               test with_struct without)
-        | None, _ | _, None ->
-          Error (Printf.sprintf "%s: missing m4 or m4-nostruct measurement" test))
-      deep_tests
-
 let check_version json ~expected =
   let* version = int_field json "schema_version" in
   if version = expected then Ok ()
@@ -682,18 +479,14 @@ let validate_bench json =
   let* kind = str_field json "kind" in
   let* results = need "results" (member "results" json) in
   let* results = as_arr "results" results in
-  let check =
+  let* check =
     match kind with
-    | "crash" -> validate_crash_result
-    | "traffic" -> validate_traffic_result
-    | "chaos" -> validate_chaos_result
-    | _ -> validate_result
+    | "crash" -> Ok validate_crash_result
+    | "traffic" -> Ok validate_traffic_result
+    | "chaos" -> Ok validate_chaos_result
+    | _ -> Error (Printf.sprintf "unknown report kind %S (known: crash, traffic, chaos)" kind)
   in
-  let* () = if results = [] then Error "empty results" else check_all check results in
-  match kind with
-  | "templates" -> validate_constant_templates results
-  | "structural" -> validate_structural_gain results
-  | _ -> Ok ()
+  if results = [] then Error "empty results" else check_all check results
 
 let validate_lint ~schema_version json =
   let* () = check_version json ~expected:schema_version in

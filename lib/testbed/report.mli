@@ -1,41 +1,25 @@
-(** Machine-readable benchmark reports.
+(** Machine-readable harness reports.
 
     A minimal JSON value type with a writer and a (strict, recursive
     descent) parser — deliberately hand-rolled so the testbed carries no
-    dependency beyond the standard library — plus serializers for the
-    engine profiles and efficiency tables the benches emit as
-    [BENCH_*.json], and the validators CI runs over those files and over
-    the [xqdb-lint] JSON report.
+    dependency beyond the standard library — plus the serializers for the
+    crash, traffic and chaos harness reports and the validators CI runs
+    over those files and over the [xqdb-lint] JSON report.
 
-    One schema version is current (10) and only it validates: a schema
+    One schema version is current (11) and only it validates: a schema
     change bumps the version, and old versions are not kept — reports
-    are regenerated, never migrated.
+    are regenerated, never migrated.  Every report shares one envelope:
 
     {v
-    { "schema_version": 10,
-      "kind": "fig7" | "ablations" | "milestones" | "templates"
-            | "structural",
-      "budget": int,              (fig7 only)
-      "results": [
-        { "engine": str, "test": str, <extra fields, e.g. "scale": int>,
-          "page_ios": int, "seconds": float, "censored": bool,
-          "profile": {
-            "reads": int, "writes": int, "allocs": int,
-            "counters": {<metric name>: int, ...},
-            "operator_ios": int, "other_ios": int,
-            "operators": [<op>, ...] } } ] }
+    { "schema_version": 11,
+      "kind": "crash" | "traffic" | "chaos",
+      <top-level fields of the kind>,
+      "results": [<result of the kind>, ...] }
     v}
 
-    where each [<op>] is [{ "op": str, "args": str, "rows": int,
-    "batches": int, "ios": int, "own_ios": int, "seconds": float,
-    "own_seconds": float, "inputs": [<op>, ...] }].  Pool, planner,
-    cache and WAL activity (e.g. [pool.misses],
-    [planner.templates_built], [wal.appends]) lives in
-    [profile.counters]: the counters charged to the run's scope, zero
-    entries omitted.
-
-    Crash-sweep reports ([kind = "crash"], {!crash_json}) use the same
-    envelope with one flat result object per crash point:
+    Crash-sweep reports ([kind = "crash"], {!crash_json}) carry [seed],
+    [trial_count] and [points_per_trial], and one flat result object per
+    crash point:
     [{ "trial": int, "query": str, "events_total": int, "point": int,
     "torn": bool, "crashed": bool, "ok": bool, "detail": str }].
 
@@ -74,19 +58,6 @@ val write_file : string -> json -> unit
 
 (* --- serializers -------------------------------------------------------- *)
 
-val profile_json : Xqdb_core.Engine.profile -> json
-
-val result_json :
-  ?extra:(string * json) list ->
-  engine:string -> test:string -> Xqdb_core.Engine.result -> json
-(** One engine × test measurement with its full profile; [extra] adds
-    result-level fields (e.g. [("scale", Int n)] for scaling sweeps). *)
-
-val cell_json : Efficiency.cell -> json
-
-val fig7_json : Efficiency.table -> json
-(** The whole Figure-7 table: [kind = "fig7"]. *)
-
 val crash_json : Differential.crash_report -> json
 (** A crash-point sweep: [kind = "crash"], one result per crash point. *)
 
@@ -102,29 +73,16 @@ val chaos_json : Chaos.report -> json
     partition each leg's requests, zero untyped escapes, zero oracle
     mismatches and ordered latency percentiles. *)
 
-val bench_json :
-  kind:string ->
-  (string * json) list ->
-  results:json list ->
-  json
-(** Generic report envelope: [schema_version], [kind], extra top-level
-    fields, and the [results] array. *)
-
 (* --- validation --------------------------------------------------------- *)
 
 val validate_bench : json -> (unit, string) result
-(** The check CI applies to every [BENCH_*.json]: [schema_version] is
-    the current one, the envelope fields are present and well-typed,
-    every result is well-formed for its kind, and every embedded profile
-    reconciles ([reads + writes = operator_ios + other_ios], operator
-    trees internally consistent).  Each kind's gate then applies:
-    - ["templates"]: every (engine, test) pair shows the same
-      [planner.templates_built] across its results — compile-once under
-      data scaling;
-    - ["structural"]: every ["deep-*"] test has [m4] and [m4-nostruct]
-      measurements, with strictly less page I/O under [m4].
-    Speed claims are not gated here: they go through the end-to-end
-    benchmark's pairwise comparison ([bench/e2e/compare.exe]). *)
+(** The check CI applies to every harness report: [schema_version] is
+    the current one, [kind] is ["crash"], ["traffic"] or ["chaos"] (any
+    other kind is an error), the [results] array is non-empty, and every
+    result is well-formed for its kind, with the kind's gate: a crash
+    point within the observed events; zero oracle mismatches, outcome
+    counts that partition the requests and ordered latency percentiles
+    for traffic and chaos; zero untyped escapes for chaos. *)
 
 val validate_lint : schema_version:int -> json -> (unit, string) result
 (** Validation of an [xqdb-lint] JSON report: [schema_version] equals

@@ -233,7 +233,9 @@ let test_budget_censoring () =
 (* Figure 7's censoring point: engine 2 on test 3 at DBLP 400, under
    grade-fig7's scaled cap, stops within two I/Os of the cap at any
    batch size.  One batch of its selective join covers thousands of
-   page I/Os, so only a check on the I/O itself can stop it there. *)
+   page I/Os, so only a check on the I/O itself can stop it there.  The
+   censored run's profile still reconciles: disk reads + writes = page
+   I/Os = operator I/Os + the residual, over consistent operator trees. *)
 let test_fig7_cap_is_exact () =
   let cap = 1_280 in
   let engine =
@@ -256,7 +258,18 @@ let test_fig7_cap_is_exact () =
       Alcotest.(check bool)
         (Printf.sprintf "%s: %d page I/Os within (cap, cap + 2]" what r.Engine.page_ios)
         true
-        (r.Engine.page_ios > cap && r.Engine.page_ios <= cap + 2))
+        (r.Engine.page_ios > cap && r.Engine.page_ios <= cap + 2);
+      let p = r.Engine.profile in
+      Alcotest.(check int) (what ^ ": reads + writes = page I/Os") r.Engine.page_ios
+        (p.Engine.reads + p.Engine.writes);
+      Alcotest.(check int) (what ^ ": operator + other I/Os = page I/Os") r.Engine.page_ios
+        (p.Engine.operator_ios + p.Engine.other_ios);
+      Alcotest.(check int) (what ^ ": operator I/Os = sum of operator roots")
+        p.Engine.operator_ios
+        (List.fold_left (fun acc (o : Engine.op_profile) -> acc + o.Engine.ios) 0
+           p.Engine.operators);
+      Alcotest.(check bool) (what ^ ": operator trees consistent") true
+        (List.for_all op_profile_consistent p.Engine.operators))
     [256; 1]
 
 let test_type_errors_reported () =

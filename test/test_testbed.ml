@@ -4,6 +4,7 @@
 
 module T = Xqdb_testbed
 module Config = Xqdb_core.Engine_config
+module Engine = Xqdb_core.Engine
 module Grading = T.Grading
 
 let test_queries_parse () =
@@ -176,114 +177,6 @@ let test_report_member () =
   Alcotest.(check bool) "absent" true (R.member "c" obj = None);
   Alcotest.(check bool) "not an object" true (R.member "a" (R.Arr []) = None)
 
-(* End to end: a small efficiency table serializes, re-parses, and passes
-   the CI validator; corrupting the reconciliation invariant fails it. *)
-let test_report_validates () =
-  let table =
-    T.Efficiency.run ~configs:[Config.engine1] ~scale:150 ~budget:40_000
-      ~budgets:[] ~seconds_cap:30.0 ()
-  in
-  let report = R.fig7_json table in
-  (match R.parse (R.to_string report) with
-   | Ok reparsed -> Alcotest.check json "survives the wire" report reparsed
-   | Error msg -> Alcotest.failf "report does not re-parse: %s" msg);
-  (match R.validate_bench report with
-   | Ok () -> ()
-   | Error msg -> Alcotest.failf "fresh report invalid: %s" msg);
-  (* Break reads + writes = operator_ios + other_ios in the first profile. *)
-  let rec corrupt = function
-    | R.Obj fields ->
-      R.Obj
-        (List.map
-           (function
-             | ("other_ios", R.Int n) -> ("other_ios", R.Int (n + 1))
-             | (k, v) -> (k, corrupt v))
-           fields)
-    | R.Arr xs -> R.Arr (List.map corrupt xs)
-    | v -> v
-  in
-  (match R.validate_bench (corrupt report) with
-   | Ok () -> Alcotest.fail "corrupted report still validates"
-   | Error _ -> ());
-  (match R.validate_bench (R.Obj [("schema_version", R.Int 999)]) with
-   | Ok () -> Alcotest.fail "wrong schema_version accepted"
-   | Error _ -> ());
-  (* Only the current schema validates: the previous version is refused
-     even when the rest of the report is well-formed. *)
-  let previous =
-    match report with
-    | R.Obj fields ->
-      R.Obj
-        (List.map
-           (function
-             | ("schema_version", _) -> ("schema_version", R.Int 9)
-             | kv -> kv)
-           fields)
-    | v -> v
-  in
-  match R.validate_bench previous with
-  | Ok () -> Alcotest.fail "previous schema_version accepted"
-  | Error _ -> ()
-
-(* Each report kind's gate, on a synthetic report that passes it and one
-   mutation that must fail it. *)
-let synthetic_result ?(extra = []) ~engine ~test ~page_ios ~templates () =
-  R.Obj
-    ([ ("engine", R.Str engine); ("test", R.Str test) ]
-    @ extra
-    @ [ ("page_ios", R.Int page_ios);
-        ("seconds", R.Float 0.01);
-        ("censored", R.Bool false);
-        ( "profile",
-          R.Obj
-            [ ("reads", R.Int page_ios);
-              ("writes", R.Int 0);
-              ("allocs", R.Int 0);
-              ("counters", R.Obj [("planner.templates_built", R.Int templates)]);
-              ("operator_ios", R.Int 0);
-              ("other_ios", R.Int page_ios);
-              ("operators", R.Arr []) ] ) ])
-
-let check_gate name ~pass ~fail =
-  (match R.validate_bench pass with
-   | Ok () -> ()
-   | Error msg -> Alcotest.failf "%s: passing report rejected: %s" name msg);
-  match R.validate_bench fail with
-  | Ok () -> Alcotest.failf "%s: failing mutation accepted" name
-  | Error _ -> ()
-
-let test_report_kind_gates () =
-  let templates built =
-    R.bench_json ~kind:"templates" []
-      ~results:
-        (List.map2
-           (fun scale templates ->
-             synthetic_result
-               ~extra:[("scale", R.Int scale)]
-               ~engine:"m4" ~test:"nested-constructor" ~page_ios:scale ~templates ())
-           [60; 180] built)
-  in
-  check_gate "templates" ~pass:(templates [2; 2]) ~fail:(templates [2; 3]);
-  let structural m4_ios =
-    R.bench_json ~kind:"structural" []
-      ~results:
-        [ synthetic_result ~engine:"m4" ~test:"deep-pair" ~page_ios:m4_ios ~templates:1 ();
-          synthetic_result ~engine:"m4-nostruct" ~test:"deep-pair" ~page_ios:20 ~templates:1 ();
-          synthetic_result ~engine:"m4" ~test:"shallow-pair" ~page_ios:30 ~templates:1 ();
-          synthetic_result ~engine:"m4-nostruct" ~test:"shallow-pair" ~page_ios:5 ~templates:1 ()
-        ]
-  in
-  check_gate "structural" ~pass:(structural 10) ~fail:(structural 20);
-  (* A fig7 report has no kind gate: its speed is judged by the
-     end-to-end benchmark, so any well-formed table passes. *)
-  let fig7 =
-    R.bench_json ~kind:"fig7" [("budget", R.Int 60_000)]
-      ~results:[synthetic_result ~engine:"engine-1" ~test:"test1" ~page_ios:7 ~templates:1 ()]
-  in
-  match R.validate_bench fig7 with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "fig7: well-formed report rejected: %s" msg
-
 (* The lint report check-lint validates: what the lint driver renders
    passes; malformed or foreign reports do not. *)
 let test_lint_report_validation () =
@@ -316,19 +209,63 @@ let test_lint_report_validation () =
        {|{"schema_version": 2, "tool": "xqdb-lint", "count": 1,
           "findings": [{"rule":"L7","file":"x.ml","line":3}]}|})
 
+(* A written report re-reads and validates; only the current schema
+   version and the three harness kinds are accepted. *)
 let test_report_file_io () =
+  let report = R.crash_json (T.Differential.crash_sweep ~seed:9 ~count:1 ~points:2 ()) in
   let file = Filename.temp_file "xqdb_bench" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
-      let table =
-        T.Efficiency.run ~configs:[Config.engine2] ~scale:120 ~budget:40_000
-          ~budgets:[] ~seconds_cap:30.0 ()
-      in
-      R.write_file file (R.fig7_json table);
+      R.write_file file report;
       match R.validate_file file with
       | Ok () -> ()
-      | Error msg -> Alcotest.failf "written file invalid: %s" msg)
+      | Error msg -> Alcotest.failf "written file invalid: %s" msg);
+  let with_field key value =
+    match report with
+    | R.Obj fields ->
+      R.Obj (List.map (fun (k, v) -> if String.equal k key then (k, value) else (k, v)) fields)
+    | v -> v
+  in
+  List.iter
+    (fun (what, mutated) ->
+      match R.validate_bench mutated with
+      | Ok () -> Alcotest.failf "%s accepted" what
+      | Error _ -> ())
+    [ ("previous schema_version", with_field "schema_version" (R.Int 10));
+      ("future schema_version", with_field "schema_version" (R.Int 999));
+      ("unknown kind", with_field "kind" (R.Str "fig7"));
+      ("envelope without a kind", R.Obj [("schema_version", R.Int 11)]) ]
+
+(* --- structural indexes: the page-I/O payoff ------------------------------------ *)
+
+(* On deep Treebank data behind a pool smaller than the document, the
+   staircase/twig plans answer every deep query with strictly less page
+   I/O than the same engine with the structural index family off, and
+   with the same output. *)
+let test_structural_gain () =
+  let forest = [Xqdb_workload.Treebank_gen.generate (Xqdb_workload.Treebank_gen.scaled 25)] in
+  let measure config query =
+    let engine =
+      Engine.load_forest ~config:{ config with Config.pool_capacity = 16 } forest
+    in
+    let r = Engine.run engine query in
+    Alcotest.(check bool) (config.Config.name ^ " succeeds") true
+      (r.Engine.status = Engine.Ok);
+    r
+  in
+  List.iter
+    (fun (test, query) ->
+      let with_struct = measure Config.m4 query in
+      let without = measure Config.m4_nostruct query in
+      Alcotest.(check string) (test ^ ": same output") without.Engine.output
+        with_struct.Engine.output;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: m4 %d < m4-nostruct %d page I/Os" test
+           with_struct.Engine.page_ios without.Engine.page_ios)
+        true
+        (with_struct.Engine.page_ios < without.Engine.page_ios))
+    (T.Queries.parsed T.Queries.deep_queries)
 
 (* --- crash-point sweep ---------------------------------------------------------- *)
 
@@ -548,6 +485,8 @@ let () =
         [ Alcotest.test_case "harness and censoring" `Slow test_efficiency_harness;
           Alcotest.test_case "determinism" `Slow test_efficiency_deterministic ] );
       ("plan lab", [Alcotest.test_case "QP2 < QP1 < QP0" `Slow test_plan_lab]);
+      ( "structural gain",
+        [Alcotest.test_case "m4 beats m4-nostruct on deep Treebank" `Slow test_structural_gain] );
       ( "differential",
         [ Alcotest.test_case "clean oracle run" `Quick test_differential_clean;
           Alcotest.test_case "seeded generation" `Quick test_differential_deterministic;
@@ -556,9 +495,7 @@ let () =
         [ Alcotest.test_case "json roundtrip" `Quick test_report_roundtrip;
           Alcotest.test_case "parser is strict" `Quick test_report_parser_strict;
           Alcotest.test_case "member" `Quick test_report_member;
-          Alcotest.test_case "validator" `Slow test_report_validates;
-          Alcotest.test_case "file io" `Slow test_report_file_io;
-          Alcotest.test_case "kind gates" `Quick test_report_kind_gates;
+          Alcotest.test_case "file io" `Quick test_report_file_io;
           Alcotest.test_case "lint report validation" `Quick test_lint_report_validation ] );
       ( "traffic",
         [ Alcotest.test_case "report round trip and gates" `Slow test_traffic_report;
