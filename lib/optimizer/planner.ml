@@ -947,13 +947,13 @@ let build ctx plan =
   | `Preserve -> Op.project ~cols:plan.out_cols ~dedup:`Adjacent base
   | `Mem_sort ->
     Op.project ~cols:plan.out_cols ~dedup:`No
-      (Op.sort ~dedup:true ~mode:`In_mem ~key_cols:plan.sort_cols base ctx)
+      (Op.sort ~mode:`In_mem ~key_cols:plan.sort_cols base ctx)
   | `Ext_sort ->
     Op.project ~cols:plan.out_cols ~dedup:`No
-      (Op.sort ~dedup:true ~mode:`External ~key_cols:plan.sort_cols base ctx)
+      (Op.sort ~mode:`External ~key_cols:plan.sort_cols base ctx)
   | `Btree_sort ->
     Op.project ~cols:plan.out_cols ~dedup:`No
-      (Op.btree_sort ~dedup:true ~key_cols:plan.sort_cols base ctx)
+      (Op.btree_sort ~key_cols:plan.sort_cols base ctx)
   end
 
 let template ctx plan =

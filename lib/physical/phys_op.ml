@@ -40,7 +40,6 @@ let preds_param_dep preds =
 type info = {
   name : string;
   detail : string;
-  children : info list;
 }
 
 type stats = {
@@ -155,25 +154,6 @@ let rec profile t =
     own_seconds = Float.max 0. (t.stats.seconds -. kid_seconds);
     inputs }
 
-(* Sum two profiles of the same plan shape — used when a nested relfor
-   re-instantiates the same operator tree once per outer binding and the
-   engine wants one aggregate breakdown per compile-time site. *)
-let rec merge_profile a b =
-  { op = a.op;
-    args = a.args;
-    rows = a.rows + b.rows;
-    batches = a.batches + b.batches;
-    ios = a.ios + b.ios;
-    own_ios = a.own_ios + b.own_ios;
-    seconds = a.seconds +. b.seconds;
-    own_seconds = a.own_seconds +. b.own_seconds;
-    inputs = merge_inputs a.inputs b.inputs }
-
-and merge_inputs xs ys =
-  match (xs, ys) with
-  | [], rest | rest, [] -> rest
-  | x :: xs', y :: ys' -> merge_profile x y :: merge_inputs xs' ys'
-
 let rec pp_profile ppf p =
   if String.equal p.args "" then Format.fprintf ppf "@[<v 2>%s" p.op
   else Format.fprintf ppf "@[<v 2>%s [%s]" p.op p.args;
@@ -184,27 +164,24 @@ let rec pp_profile ppf p =
 
 let profile_to_string p = Format.asprintf "%a" pp_profile p
 
-let rec pp_info ppf i =
-  if String.equal i.detail "" then Format.fprintf ppf "@[<v 2>%s" i.name
-  else Format.fprintf ppf "@[<v 2>%s [%s]" i.name i.detail;
-  List.iter (fun c -> Format.fprintf ppf "@,%a" pp_info c) i.children;
-  Format.fprintf ppf "@]"
-
-let info_to_string i = Format.asprintf "%a" pp_info i
-
-let drain op =
+(* Reset [op] and feed its rows, in order, to [f]. *)
+let iter_rows f op =
   op.reset ();
-  let acc = ref [] in
   let rec go () =
     match op.next_batch () with
-    | None -> List.rev !acc
+    | None -> ()
     | Some b ->
       for i = 0 to b.Tuple.len - 1 do
-        acc := Tuple.batch_row b i :: !acc
+        f (Tuple.batch_row b i)
       done;
       go ()
   in
   go ()
+
+let drain op =
+  let acc = ref [] in
+  iter_rows (fun tuple -> acc := tuple :: !acc) op;
+  List.rev !acc
 
 let count op =
   op.reset ();
@@ -215,10 +192,10 @@ let count op =
   in
   go 0
 
-(* A tuple-at-a-time view of a child's batch stream, for operators whose
-   inner logic is inherently row-wise (joins, sorts, spools).  Rows are
-   materialized lazily and the current batch is fully consumed before
-   the child is asked for the next one, so batch reuse is safe. *)
+(* A tuple-at-a-time view of a child's batch stream, for the outer side
+   of the nested loops.  Rows are materialized lazily and the current
+   batch is fully consumed before the child is asked for the next one,
+   so batch reuse is safe. *)
 type cursor = {
   pull : unit -> Tuple.t option;
   restart : unit -> unit;  (* reset the child and forget the held batch *)
@@ -251,29 +228,45 @@ let cursor_of op =
         held := None;
         idx := 0) }
 
+let list_pull items =
+  let rest = ref items in
+  fun () ->
+    match !rest with
+    | [] -> None
+    | x :: tl ->
+      rest := tl;
+      Some x
+
 let out_batch ctx schema = Tuple.batch_create ~width:(List.length schema) ctx.batch_size
 
-(* Wrap a row generator into a batch producer over a reusable output
-   batch; the deadline and time cap are polled once per batch. *)
-let batched ctx ~schema gen =
+(* The one place a batch ends.  Each call polls the deadline and time
+   cap, clears the reusable output batch, then calls [step b] until the
+   batch is full or [step] returns [false] (its input is exhausted).  A
+   step adds at most one row. *)
+let fill_batches ctx ~schema step =
   let b = out_batch ctx schema in
   fun () ->
     tick ctx;
     Tuple.batch_clear b;
-    let rec fill () =
-      if Tuple.batch_full b then ()
-      else
-        match gen () with
-        | None -> ()
-        | Some tuple ->
-          Tuple.batch_push b tuple;
-          fill ()
-    in
+    let rec fill () = if (not (Tuple.batch_full b)) && step b then fill () in
     fill ();
     if b.Tuple.len = 0 then None else Some b
 
+(* A batch producer over a row generator. *)
+let batched ctx ~schema gen =
+  fill_batches ctx ~schema (fun b ->
+      match gen () with
+      | None -> false
+      | Some tuple ->
+        Tuple.batch_push b tuple;
+        true)
+
 let preds_detail preds =
   String.concat " ∧ " (List.map Xqdb_tpm.Tpm_print.pred_to_string preds)
+
+let as_int what = function
+  | Tuple.I v -> v
+  | Tuple.S s -> invalid_arg (Printf.sprintf "%s %S" what s)
 
 (* --- access paths ------------------------------------------------------ *)
 
@@ -296,45 +289,39 @@ let stage_xasr b (xt : Xasr.tuple) =
   cols.(3).(row) <- Tuple.I (Xasr.node_type_code xt.Xasr.ntype);
   cols.(4).(row) <- Tuple.S xt.Xasr.value
 
-(* Shared shape of the batch scans: a page-at-a-time cursor yields whole
-   leaves of decoded XASR tuples; each [next_batch] stages rows straight
-   into the output columns and evaluates the compiled predicates in
-   place — no per-tuple [Tuple.t] is allocated on the scan path. *)
-let xasr_page_scan ctx ~schema ~preds ~info ~make_pages =
+(* The one scan loop: a page-at-a-time cursor yields whole leaves of
+   entries, [tuple] turns an entry into its XASR tuple, and each row is
+   staged straight into the output columns, where the compiled
+   predicates run in place — no per-tuple [Tuple.t] is allocated on the
+   scan path. *)
+let xasr_page_scan ctx ~schema ~preds ~info ~tuple ~make_pages =
   let keep = Tuple.compile_preds_batch ~params:ctx.params schema preds in
   let make_cursor () =
     let pages = make_pages () in
     let pending = ref [||] in
     let pos = ref 0 in
-    let b = out_batch ctx schema in
-    fun () ->
-      tick ctx;
-      Tuple.batch_clear b;
-      let exhausted = ref false in
-      while (not (Tuple.batch_full b)) && not !exhausted do
+    fill_batches ctx ~schema (fun b ->
         if !pos < Array.length !pending then begin
-          let xt = (!pending).(!pos) in
+          let entry = (!pending).(!pos) in
           incr pos;
-          stage_xasr b xt;
-          if keep b b.Tuple.len then b.Tuple.len <- b.Tuple.len + 1
+          stage_xasr b (tuple entry);
+          if keep b b.Tuple.len then b.Tuple.len <- b.Tuple.len + 1;
+          true
         end
         else
           match pages () with
-          | None -> exhausted := true
+          | None -> false
           | Some arr ->
             pending := arr;
-            pos := 0
-      done;
-      if b.Tuple.len = 0 then None else Some b
+            pos := 0;
+            true)
   in
   cursor_op ~schema ~param_dep:(preds_param_dep preds) ~info ~make_cursor
 
 let full_scan ctx alias ~preds =
   xasr_page_scan ctx ~schema:(Tuple.xasr_schema alias) ~preds
-    ~info:
-      { name = Printf.sprintf "scan XASR[%s]" alias;
-        detail = preds_detail preds;
-        children = [] }
+    ~info:{ name = Printf.sprintf "scan XASR[%s]" alias; detail = preds_detail preds }
+    ~tuple:Fun.id
     ~make_pages:(fun () -> Store.scan_all_pages ctx.store)
 
 let struct_scan ctx alias ~label ~preds =
@@ -343,57 +330,29 @@ let struct_scan ctx alias ~label ~preds =
       { name = Printf.sprintf "sidx-scan XASR[%s]" alias;
         detail =
           Printf.sprintf "struct(%s)%s" label
-            (if preds = [] then "" else "; " ^ preds_detail preds);
-        children = [] }
+            (if preds = [] then "" else "; " ^ preds_detail preds) }
+    ~tuple:Fun.id
     ~make_pages:(fun () -> Store.struct_stream_pages ctx.store label)
 
+(* The label index yields whole leaves of matching [in]s; each one still
+   costs a primary fetch (that is the access path's nature), made as the
+   row is staged. *)
 let label_scan ctx alias ~ntype ~value ~preds =
-  let schema = Tuple.xasr_schema alias in
-  let keep = Tuple.compile_preds_batch ~params:ctx.params schema preds in
-  let make_cursor () =
-    (* The label index yields whole leaves of matching [in]s; each one
-       still costs a primary fetch (that is the access path's nature),
-       but staging and filtering stay allocation-free. *)
-    let pages = Store.label_ins_pages ctx.store ntype value in
-    let pending = ref [||] in
-    let pos = ref 0 in
-    let b = out_batch ctx schema in
-    fun () ->
-      tick ctx;
-      Tuple.batch_clear b;
-      let exhausted = ref false in
-      while (not (Tuple.batch_full b)) && not !exhausted do
-        if !pos < Array.length !pending then begin
-          let nin = (!pending).(!pos) in
-          incr pos;
-          match Store.fetch ctx.store nin with
-          | None ->
-            Xqdb_storage.Xqdb_error.corrupt "Phys_op.label_scan: dangling label-index entry"
-          | Some xt ->
-            stage_xasr b xt;
-            if keep b b.Tuple.len then b.Tuple.len <- b.Tuple.len + 1
-        end
-        else
-          match pages () with
-          | None -> exhausted := true
-          | Some arr ->
-            pending := arr;
-            pos := 0
-      done;
-      if b.Tuple.len = 0 then None else Some b
-  in
-  cursor_op ~schema ~param_dep:(preds_param_dep preds)
+  xasr_page_scan ctx ~schema:(Tuple.xasr_schema alias) ~preds
     ~info:
       { name = Printf.sprintf "idx-scan XASR[%s]" alias;
         detail =
           Printf.sprintf "label(%s, %s)%s" (Xasr.node_type_name ntype) value
-            (if preds = [] then "" else "; " ^ preds_detail preds);
-        children = [] }
-    ~make_cursor
+            (if preds = [] then "" else "; " ^ preds_detail preds) }
+    ~tuple:(fun nin ->
+      match Store.fetch ctx.store nin with
+      | Some xt -> xt
+      | None -> Xqdb_storage.Xqdb_error.corrupt "Phys_op.label_scan: dangling label-index entry")
+    ~make_pages:(fun () -> Store.label_ins_pages ctx.store ntype value)
 
 let empty schema =
   make ~schema
-    ~info:{ name = "empty"; detail = "provably empty"; children = [] }
+    ~info:{ name = "empty"; detail = "provably empty" }
     ~next_batch:(fun () -> None)
     ~reset:(fun () -> ())
     ()
@@ -403,7 +362,7 @@ let singleton schema tuple =
   Tuple.batch_push b tuple;
   let produced = ref false in
   make ~schema
-    ~info:{ name = "unit"; detail = ""; children = [] }
+    ~info:{ name = "unit"; detail = "" }
     ~next_batch:(fun () ->
       if !produced then None
       else begin
@@ -413,7 +372,107 @@ let singleton schema tuple =
     ~reset:(fun () -> produced := false)
     ()
 
+(* --- spools -------------------------------------------------------------- *)
+
+(* A heap-file spool of [child]'s rows, shared by disk materialization
+   and nl_join's disk inner.  The first [replay] drains the child into a
+   fresh heap file, polling the budget per row; every [replay] returns a
+   pull over the file from its start; [forget] drops the file so the
+   next replay refills it. *)
+let spool ctx child =
+  let file = ref None in
+  let replay () =
+    let hf =
+      match !file with
+      | Some hf -> hf
+      | None ->
+        let hf = Xqdb_storage.Heap_file.create ctx.pool in
+        iter_rows
+          (fun tuple ->
+            tick ctx;
+            ignore (Xqdb_storage.Heap_file.append hf (Tuple.encode tuple)))
+          child;
+        file := Some hf;
+        hf
+    in
+    let scan = Xqdb_storage.Heap_file.scan hf in
+    fun () -> Option.map Tuple.decode (scan ())
+  in
+  (replay, fun () -> file := None)
+
+(* Materialize-on-first-use operator over a list-producing fill; the
+   cached list is served out through a reusable batch. *)
+let replay_op ~schema ~info ~kids ~clear_on_rebind ~ctx ~fill =
+  let cache = ref None in
+  let serving = ref None in
+  let gen () =
+    let pull =
+      match !serving with
+      | Some pull -> pull
+      | None ->
+        let rows =
+          match !cache with
+          | Some rows -> rows
+          | None ->
+            let rows = fill () in
+            cache := Some rows;
+            rows
+        in
+        let pull = list_pull rows in
+        serving := Some pull;
+        pull
+    in
+    pull ()
+  in
+  (* A fill that must be dropped on rebind reads parameter slots, so the
+     operator itself is parameter-dependent (kids contribute via make). *)
+  make ~schema ~info ~kids ~param_dep:clear_on_rebind
+    ~clear:
+      (if clear_on_rebind then (fun () ->
+           cache := None;
+           serving := None)
+       else ignore)
+    ~next_batch:(batched ctx ~schema gen)
+    ~reset:(fun () -> serving := None)
+    ()
+
 (* --- joins ------------------------------------------------------------- *)
+
+(* The one nested loop: for each outer row, [open_inner] pulls the inner
+   candidates; a candidate is emitted when [keep_inner] holds on it and
+   [keep] on the concatenation, and a semijoin moves on to the next
+   outer row after its first match.  The output is outer-major, inner in
+   candidate order. *)
+let nested_loop ctx ~schema ~semi ~open_inner ~keep_inner ~keep left =
+  let outer = cursor_of left in
+  let current = ref None in
+  let rec gen () =
+    match !current with
+    | None ->
+      (match outer.pull () with
+       | None -> None
+       | Some l ->
+         current := Some (l, open_inner l);
+         gen ())
+    | Some (l, inner) ->
+      (match inner () with
+       | None ->
+         current := None;
+         gen ()
+       | Some r when keep_inner r ->
+         let tuple = Tuple.concat l r in
+         if keep tuple then begin
+           if semi then current := None;
+           Some tuple
+         end
+         else gen ()
+       | Some _ -> gen ())
+  in
+  let reset () =
+    outer.restart ();
+    current := None
+  in
+  (batched ctx ~schema gen, reset)
 
 type probe =
   | Probe_child of A.operand
@@ -452,14 +511,11 @@ let equi_key left right preds =
 
 let nl_join ?(materialize_inner = `Mem) ?(semi = false) ~preds left right ctx =
   let schema = left.schema @ right.schema in
-  let keep = Tuple.compile_preds ~params:ctx.params schema preds in
-  let left_cur = cursor_of left in
   (* Inner-side cache.  [clear] drops it on rebind, but only when the
      inner subtree reads parameter slots — a parameter-independent inner
      cache is valid for every outer binding and surviving rebinds is the
-     template payoff.  [inner_rewind l] restarts the inner for outer row
-     [l]. *)
-  let inner_next, inner_rewind, inner_clear, cache_detail =
+     template payoff. *)
+  let open_inner, inner_clear, cache_detail =
     match materialize_inner with
     | `Mem ->
       (* With an equi-join key the cache is also bucketed by the inner
@@ -469,7 +525,6 @@ let nl_join ?(materialize_inner = `Mem) ?(semi = false) ~preds left right ctx =
          full loop's.  The inner is drained exactly as without a key. *)
       let key = equi_key left right preds in
       let cache = ref None in
-      let pos = ref [] in
       let fill () =
         match !cache with
         | Some c -> c
@@ -491,22 +546,11 @@ let nl_join ?(materialize_inner = `Mem) ?(semi = false) ~preds left right ctx =
           cache := Some (rows, index);
           (rows, index)
       in
-      let rewind l =
-        pos :=
-          match fill () with
-          | _, Some (li, tbl) -> Option.value ~default:[] (Value_tbl.find_opt tbl l.(li))
-          | rows, None -> rows
-      in
-      let next () =
-        match !pos with
-        | [] -> None
-        | tuple :: rest ->
-          pos := rest;
-          Some tuple
-      in
-      let clear () =
-        cache := None;
-        pos := []
+      let open_inner l =
+        list_pull
+          (match fill () with
+           | _, Some (li, tbl) -> Option.value ~default:[] (Value_tbl.find_opt tbl l.(li))
+           | rows, None -> rows)
       in
       let detail =
         match key with
@@ -514,72 +558,16 @@ let nl_join ?(materialize_inner = `Mem) ?(semi = false) ~preds left right ctx =
         | Some (_, _, c) ->
           "inner in memory, keyed on " ^ Xqdb_tpm.Tpm_print.operand_to_string (A.Ocol c)
       in
-      (next, rewind, clear, detail)
+      (open_inner, (fun () -> cache := None), detail)
     | `Disk ->
-      let rc = cursor_of right in
-      let spool = ref None in
-      let cursor = ref (fun () -> None) in
-      let fill () =
-        match !spool with
-        | Some hf -> hf
-        | None ->
-          let hf = Xqdb_storage.Heap_file.create ctx.pool in
-          rc.restart ();
-          let rec go () =
-            match rc.pull () with
-            | None -> ()
-            | Some tuple ->
-              ignore (Xqdb_storage.Heap_file.append hf (Tuple.encode tuple));
-              go ()
-          in
-          go ();
-          spool := Some hf;
-          hf
-      in
-      let next () =
-        match !cursor () with
-        | None -> None
-        | Some data -> Some (Tuple.decode data)
-      in
-      let clear () =
-        spool := None;
-        cursor := (fun () -> None)
-      in
-      (next, (fun _ -> cursor := Xqdb_storage.Heap_file.scan (fill ())), clear, "inner on disk")
+      let replay, forget = spool ctx right in
+      ((fun _ -> replay ()), forget, "inner on disk")
   in
-  let current_left = ref None in
-  let gen () =
-    let rec step () =
-      match !current_left with
-      | None ->
-        (match left_cur.pull () with
-         | None -> None
-         | Some l ->
-           current_left := Some l;
-           inner_rewind l;
-           step ())
-      | Some l ->
-        (match inner_next () with
-         | None ->
-           current_left := None;
-           step ()
-         | Some r ->
-           let tuple = Tuple.concat l r in
-           if keep tuple then begin
-             (* Semijoin mode: one match per outer tuple suffices. *)
-             if semi then current_left := None;
-             Some tuple
-           end
-           else step ())
-    in
-    step ()
+  let next_batch, reset =
+    nested_loop ctx ~schema ~semi ~open_inner ~keep_inner:(fun _ -> true)
+      ~keep:(Tuple.compile_preds ~params:ctx.params schema preds) left
   in
-  let reset () =
-    left_cur.restart ();
-    current_left := None
-  in
-  make ~schema ~kids:[left; right]
-    ~next_batch:(batched ctx ~schema gen) ~reset
+  make ~schema ~kids:[left; right] ~next_batch ~reset
     ~param_dep:(preds_param_dep preds)
     ~clear:(if right.param_dep then inner_clear else ignore)
     ~info:
@@ -587,8 +575,7 @@ let nl_join ?(materialize_inner = `Mem) ?(semi = false) ~preds left right ctx =
                 else if semi then "semi-nl-join"
                 else "nl-join");
         detail =
-          (if preds = [] then cache_detail else preds_detail preds ^ "; " ^ cache_detail);
-        children = [left.info; right.info] }
+          (if preds = [] then cache_detail else preds_detail preds ^ "; " ^ cache_detail) }
     ()
 
 let bnl_join ?(block_size = 64) ~preds left right ctx =
@@ -669,148 +656,63 @@ let bnl_join ?(block_size = 64) ~preds left right ctx =
       { name = (if preds = [] then "bnl-product" else "bnl-join");
         detail =
           (if preds = [] then Printf.sprintf "block %d" block_size
-           else preds_detail preds ^ Printf.sprintf "; block %d" block_size);
-        children = [left.info; right.info] }
+           else preds_detail preds ^ Printf.sprintf "; block %d" block_size) }
     ()
+
+let join_detail preds residual =
+  (if preds = [] then "" else "; " ^ preds_detail preds)
+  ^ (if residual = [] then "" else "; residual " ^ preds_detail residual)
 
 let inl_join ?(semi = false) ctx ~probe ~alias ~preds ~residual left =
   let inner_schema = Tuple.xasr_schema alias in
   let schema = left.schema @ inner_schema in
-  let keep_inner = Tuple.compile_preds ~params:ctx.params inner_schema preds in
-  let keep_residual = Tuple.compile_preds ~params:ctx.params schema residual in
-  let as_int = function
-    | Tuple.I v -> v
-    | Tuple.S s -> invalid_arg (Printf.sprintf "inl_join: non-integer probe value %S" s)
-  in
-  let probe_param_dep =
-    match probe with
-    | Probe_child op | Probe_pk op -> operand_param_dep op
-    | Probe_desc (i, o) -> operand_param_dep i || operand_param_dep o
-  in
-  let make_probe =
+  let operand = Tuple.compile_operand ~params:ctx.params left.schema in
+  let as_int = as_int "inl_join: non-integer probe value" in
+  let open_probe =
     match probe with
     | Probe_child op ->
-      let v = Tuple.compile_operand ~params:ctx.params left.schema op in
+      let v = operand op in
       fun l ->
         let ins = Store.children_ins ctx.store (as_int (v l)) in
-        let pull () =
-          match ins () with
-          | None -> None
-          | Some nin ->
-            (match Store.fetch ctx.store nin with
-             | None -> Xqdb_storage.Xqdb_error.corrupt "inl_join: dangling parent-index entry"
-             | Some xt -> Some xt)
-        in
-        pull
+        fun () ->
+          Option.map
+            (fun nin ->
+              match Store.fetch ctx.store nin with
+              | Some xt -> xt
+              | None -> Xqdb_storage.Xqdb_error.corrupt "inl_join: dangling parent-index entry")
+            (ins ())
     | Probe_desc (in_op, out_op) ->
-      let vin = Tuple.compile_operand ~params:ctx.params left.schema in_op in
-      let vout = Tuple.compile_operand ~params:ctx.params left.schema out_op in
+      let vin = operand in_op in
+      let vout = operand out_op in
       fun l -> Store.scan_in_range ctx.store ~lo:(as_int (vin l) + 1) ~hi:(as_int (vout l) - 1)
     | Probe_pk op ->
-      let v = Tuple.compile_operand ~params:ctx.params left.schema op in
-      fun l ->
-        let fetched = ref false in
-        fun () ->
-          if !fetched then None
-          else begin
-            fetched := true;
-            Store.fetch ctx.store (as_int (v l))
-          end
+      let v = operand op in
+      fun l -> list_pull (Option.to_list (Store.fetch ctx.store (as_int (v l))))
   in
-  let left_cur = cursor_of left in
-  let current = ref None in
-  let gen () =
-    let rec step () =
-      match !current with
-      | None ->
-        (match left_cur.pull () with
-         | None -> None
-         | Some l ->
-           current := Some (l, make_probe l);
-           step ())
-      | Some (l, cursor) ->
-        (match cursor () with
-         | None ->
-           current := None;
-           step ()
-         | Some xt ->
-           let inner = Tuple.of_xasr xt in
-           if keep_inner inner then begin
-             let tuple = Tuple.concat l inner in
-             if keep_residual tuple then begin
-               if semi then current := None;
-               Some tuple
-             end
-             else step ()
-           end
-           else step ())
-    in
-    step ()
+  let next_batch, reset =
+    nested_loop ctx ~schema ~semi
+      ~open_inner:(fun l ->
+        let pull = open_probe l in
+        fun () -> Option.map Tuple.of_xasr (pull ()))
+      ~keep_inner:(Tuple.compile_preds ~params:ctx.params inner_schema preds)
+      ~keep:(Tuple.compile_preds ~params:ctx.params schema residual)
+      left
   in
-  let reset () =
-    left_cur.restart ();
-    current := None
-  in
-  let probe_detail =
+  let probe_param_dep, probe_detail =
+    let show = Xqdb_tpm.Tpm_print.operand_to_string in
     match probe with
-    | Probe_child op -> Printf.sprintf "%s.parent_in = %s" alias (Xqdb_tpm.Tpm_print.operand_to_string op)
+    | Probe_child op ->
+      (operand_param_dep op, Printf.sprintf "%s.parent_in = %s" alias (show op))
     | Probe_desc (i, o) ->
-      Printf.sprintf "%s.in in (%s, %s)" alias (Xqdb_tpm.Tpm_print.operand_to_string i)
-        (Xqdb_tpm.Tpm_print.operand_to_string o)
-    | Probe_pk op -> Printf.sprintf "%s.in = %s" alias (Xqdb_tpm.Tpm_print.operand_to_string op)
+      ( operand_param_dep i || operand_param_dep o,
+        Printf.sprintf "%s.in in (%s, %s)" alias (show i) (show o) )
+    | Probe_pk op -> (operand_param_dep op, Printf.sprintf "%s.in = %s" alias (show op))
   in
-  make ~schema ~kids:[left]
-    ~next_batch:(batched ctx ~schema gen) ~reset
+  make ~schema ~kids:[left] ~next_batch ~reset
     ~param_dep:(probe_param_dep || preds_param_dep preds || preds_param_dep residual)
     ~info:
       { name = (if semi then "semi-inl-join" else "inl-join");
-        detail =
-          probe_detail
-          ^ (if preds = [] then "" else "; " ^ preds_detail preds)
-          ^ (if residual = [] then "" else "; residual " ^ preds_detail residual);
-        children = [left.info] }
-    ()
-
-let replay_op ~schema ~info ~kids ~clear_on_rebind ~ctx ~fill =
-  (* Materialize-on-first-use operator over a list-producing fill; the
-     cached list is served out through a reusable batch. *)
-  let cache = ref None in
-  let serving = ref None in
-  let ensure () =
-    match !cache with
-    | Some c -> c
-    | None ->
-      let c = fill () in
-      cache := Some c;
-      c
-  in
-  let out = out_batch ctx schema in
-  (* A fill that must be dropped on rebind reads parameter slots, so the
-     operator itself is parameter-dependent (kids contribute via make). *)
-  make ~schema ~info ~kids ~param_dep:clear_on_rebind
-    ~clear:
-      (if clear_on_rebind then (fun () ->
-           cache := None;
-           serving := None)
-       else ignore)
-    ~next_batch:(fun () ->
-      tick ctx;
-      let items = match !serving with
-        | Some items -> items
-        | None -> ensure ()
-      in
-      Tuple.batch_clear out;
-      let rec take = function
-        | [] -> []
-        | items when Tuple.batch_full out -> items
-        | tuple :: rest ->
-          Tuple.batch_push out tuple;
-          take rest
-      in
-      let rest = take items in
-      serving := Some rest;
-      if out.Tuple.len = 0 then None else Some out)
-    ~reset:(fun () -> serving := None)
+        detail = probe_detail ^ join_detail preds residual }
     ()
 
 (* Staircase join over the structural index: the label's run is loaded
@@ -823,12 +725,7 @@ let replay_op ~schema ~info ~kids ~clear_on_rebind ~ctx ~fill =
 let struct_join ?(semi = false) ctx ~lo ~hi ~alias ~label ~preds ~residual left =
   let inner_schema = Tuple.xasr_schema alias in
   let schema = left.schema @ inner_schema in
-  let keep_inner = Tuple.compile_preds ~params:ctx.params inner_schema preds in
-  let keep_residual = Tuple.compile_preds ~params:ctx.params schema residual in
-  let as_int = function
-    | Tuple.I v -> v
-    | Tuple.S s -> invalid_arg (Printf.sprintf "struct_join: non-integer bound %S" s)
-  in
+  let as_int = as_int "struct_join: non-integer bound" in
   let vlo = Tuple.compile_operand ~params:ctx.params left.schema lo in
   let vhi = Tuple.compile_operand ~params:ctx.params left.schema hi in
   let entries = ref None in
@@ -860,47 +757,26 @@ let struct_join ?(semi = false) ctx ~lo ~hi ~alias ~label ~preds ~residual left 
     in
     go 0 (Array.length ins)
   in
-  let left_cur = cursor_of left in
-  let current = ref None in
-  let gen () =
-    let rec step () =
-      match !current with
-      | None ->
-        (match left_cur.pull () with
-         | None -> None
-         | Some l ->
-           let tuples, ins = load () in
-           let lo_v = as_int (vlo l) in
-           let hi_v = as_int (vhi l) in
-           current := Some (l, hi_v, ref (lower_bound ins lo_v), tuples, ins);
-           step ())
-      | Some (l, hi_v, idx, tuples, ins) ->
-        if !idx >= Array.length tuples || ins.(!idx) >= hi_v then begin
-          current := None;
-          step ()
-        end
-        else begin
-          let inner = tuples.(!idx) in
-          incr idx;
-          if keep_inner inner then begin
-            let tuple = Tuple.concat l inner in
-            if keep_residual tuple then begin
-              if semi then current := None;
-              Some tuple
-            end
-            else step ()
-          end
-          else step ()
-        end
-    in
-    step ()
+  let open_inner l =
+    let tuples, ins = load () in
+    let lo_v = as_int (vlo l) in
+    let hi_v = as_int (vhi l) in
+    let idx = ref (lower_bound ins lo_v) in
+    fun () ->
+      if !idx >= Array.length tuples || ins.(!idx) >= hi_v then None
+      else begin
+        let inner = tuples.(!idx) in
+        incr idx;
+        Some inner
+      end
   in
-  let reset () =
-    left_cur.restart ();
-    current := None
+  let next_batch, reset =
+    nested_loop ctx ~schema ~semi ~open_inner
+      ~keep_inner:(Tuple.compile_preds ~params:ctx.params inner_schema preds)
+      ~keep:(Tuple.compile_preds ~params:ctx.params schema residual)
+      left
   in
-  make ~schema ~kids:[left]
-    ~next_batch:(batched ctx ~schema gen) ~reset
+  make ~schema ~kids:[left] ~next_batch ~reset
     ~param_dep:
       (operand_param_dep lo || operand_param_dep hi || preds_param_dep preds
       || preds_param_dep residual)
@@ -911,9 +787,7 @@ let struct_join ?(semi = false) ctx ~lo ~hi ~alias ~label ~preds ~residual left 
             (Xqdb_tpm.Tpm_print.operand_to_string lo)
             (Xqdb_tpm.Tpm_print.operand_to_string hi)
             label
-          ^ (if preds = [] then "" else "; " ^ preds_detail preds)
-          ^ (if residual = [] then "" else "; residual " ^ preds_detail residual);
-        children = [left.info] }
+          ^ join_detail preds residual }
     ()
 
 (* --- twig matching ------------------------------------------------------- *)
@@ -943,10 +817,7 @@ let twig_match ctx ~anchor ~steps =
   let schema = List.concat_map (fun s -> Tuple.xasr_schema s.tw_alias) steps in
   let steps_arr = Array.of_list steps in
   let k = Array.length steps_arr in
-  let as_int = function
-    | Tuple.I v -> v
-    | Tuple.S s -> invalid_arg (Printf.sprintf "twig_match: non-integer bound %S" s)
-  in
+  let as_int = as_int "twig_match: non-integer bound" in
   let anchor_fn =
     match anchor with
     | None -> None
@@ -1022,100 +893,87 @@ let twig_match ctx ~anchor ~steps =
         advance i;
         Option.map (fun xt -> (i, xt)) xt
     in
-    (* Partner index of an entry joining step [i] (> 0): for Desc, the
-       topmost previous-stack entry that is a *strict* ancestor (a
-       same-label node at the same [in] is excluded); for Child, the
-       entry whose [in] equals the parent pointer, searched downward. *)
-    let partner_of i nin parent_in =
-      match steps_arr.(i).tw_axis with
-      | Twig_desc ->
-        let top = lens.(i - 1) - 1 in
-        if top < 0 then -1
-        else begin
-          let t, _ = get (i - 1) top in
-          if tuple_in t = nin then top - 1 else top
-        end
-      | Twig_child ->
-        let rec find j =
-          if j < 0 then -1
-          else begin
-            let t, _ = get (i - 1) j in
-            let pin = tuple_in t in
-            if pin = parent_in then j else if pin < parent_in then -1 else find (j - 1)
-          end
+    (* Partner index of an entry joining step [i]: for the first step,
+       [-1] if the entry lies inside the anchor; for Desc, the topmost
+       previous-stack entry that is a *strict* ancestor (a same-label
+       node at the same [in] is excluded); for Child, the entry whose
+       [in] equals the parent pointer, searched downward.  [None] when
+       the entry joins nothing. *)
+    let partner_of i (xt : Xasr.tuple) =
+      let nin = xt.Xasr.nin in
+      if i = 0 then (if lo < nin && xt.Xasr.nout < hi then Some (-1) else None)
+      else
+        let found =
+          match steps_arr.(i).tw_axis with
+          | Twig_desc ->
+            let top = lens.(i - 1) - 1 in
+            if top < 0 then -1
+            else begin
+              let t, _ = get (i - 1) top in
+              if tuple_in t = nin then top - 1 else top
+            end
+          | Twig_child ->
+            let rec find j =
+              if j < 0 then -1
+              else begin
+                let t, _ = get (i - 1) j in
+                let pin = tuple_in t in
+                if pin = xt.Xasr.parent_in then j
+                else if pin < xt.Xasr.parent_in then -1
+                else find (j - 1)
+              end
+            in
+            find (lens.(i - 1) - 1)
         in
-        find (lens.(i - 1) - 1)
+        if found >= 0 then Some found else None
     in
     let solutions = ref [] in
-    (* All chains from stack [i] entry [j] down to stack 0, leaf-first. *)
-    let rec chains i j =
-      let tuple, ptr = get i j in
+    (* All chains from a step-[i] entry [(tuple, ptr)] down to step 0,
+       leaf-first. *)
+    let rec chains i tuple ptr =
       if i = 0 then [ [ tuple ] ]
       else begin
         let partners =
           match steps_arr.(i).tw_axis with
-          | Twig_desc -> List.init (ptr + 1) (fun p -> p)
+          | Twig_desc -> List.init (ptr + 1) Fun.id
           | Twig_child -> [ ptr ]
         in
         List.concat_map
-          (fun p -> List.map (fun chain -> tuple :: chain) (chains (i - 1) p))
+          (fun p ->
+            let t, q = get (i - 1) p in
+            List.map (fun chain -> tuple :: chain) (chains (i - 1) t q))
           partners
       end
-    in
-    let emit_leaf tuple ptr =
-      let leaf_chains =
-        if k = 1 then [ [ tuple ] ]
-        else begin
-          let partners =
-            match steps_arr.(k - 1).tw_axis with
-            | Twig_desc -> List.init (ptr + 1) (fun p -> p)
-            | Twig_child -> [ ptr ]
-          in
-          List.concat_map
-            (fun p -> List.map (fun chain -> tuple :: chain) (chains (k - 2) p))
-            partners
-        end
-      in
-      List.iter
-        (fun chain ->
-          let parts = List.rev chain in
-          let solution =
-            match parts with
-            | [] -> [||]
-            | first :: rest -> List.fold_left Tuple.concat first rest
-          in
-          solutions := solution :: !solutions)
-        leaf_chains
     in
     let rec consume () =
       tick ctx;
       match next_entry () with
       | None -> ()
       | Some (i, xt) ->
-        let nin = xt.Xasr.nin in
-        pop_closed nin;
-        (if i = 0 then begin
-           if lo < nin && xt.Xasr.nout < hi then
-             if k = 1 then emit_leaf (Tuple.of_xasr xt) (-1)
-             else push 0 (Tuple.of_xasr xt, -1)
-         end
-         else begin
-           let ptr = partner_of i nin xt.Xasr.parent_in in
-           if ptr >= 0 then
-             if i = k - 1 then emit_leaf (Tuple.of_xasr xt) ptr
-             else push i (Tuple.of_xasr xt, ptr)
-         end);
+        pop_closed xt.Xasr.nin;
+        (match partner_of i xt with
+         | None -> ()
+         | Some ptr ->
+           let tuple = Tuple.of_xasr xt in
+           if i < k - 1 then push i (tuple, ptr)
+           else
+             List.iter
+               (fun chain ->
+                 match List.rev chain with
+                 | [] -> ()
+                 | first :: rest ->
+                   solutions := List.fold_left Tuple.concat first rest :: !solutions)
+               (chains i tuple ptr));
         consume ()
     in
     consume ();
     (* Lexicographic (a1.in, ..., ak.in) order = the nested-loop plan's
        output order. *)
-    let in_positions = Array.init k (fun i -> i * 5) in
     let by_ins t1 t2 =
       let rec go i =
         if i >= k then 0
         else begin
-          let c = Int.compare (as_int t1.(in_positions.(i))) (as_int t2.(in_positions.(i))) in
+          let c = Int.compare (as_int t1.(i * 5)) (as_int t2.(i * 5)) in
           if c <> 0 then c else go (i + 1)
         end
       in
@@ -1144,101 +1002,60 @@ let twig_match ctx ~anchor ~steps =
             | Some (lo, hi) ->
               Printf.sprintf "; anchor (%s, %s)"
                 (Xqdb_tpm.Tpm_print.operand_to_string lo)
-                (Xqdb_tpm.Tpm_print.operand_to_string hi));
-        children = [] }
+                (Xqdb_tpm.Tpm_print.operand_to_string hi)) }
     ~fill
 
-(* --- filter, project, sort, materialize -------------------------------- *)
-
-(* Filter and project work batch-to-batch: rows of the child's batch are
-   tested (and for project, remapped) column-wise into a reusable output
-   batch sized off the child's, skipping the row-generator machinery
-   entirely. *)
-
-let ensure_out out ~width cap =
-  match !out with
-  | Some b when b.Tuple.cap >= cap -> b
-  | Some _ | None ->
-    let b = Tuple.batch_create ~width (max 1 cap) in
-    out := Some b;
-    b
-
-let filter ?params ~preds child =
-  let keep = Tuple.compile_preds_batch ?params child.schema preds in
-  let width = List.length child.schema in
-  let out = ref None in
-  let rec next_batch () =
-    match child.next_batch () with
-    | None -> None
-    | Some cb ->
-      let b = ensure_out out ~width cb.Tuple.cap in
-      Tuple.batch_clear b;
-      for i = 0 to cb.Tuple.len - 1 do
-        if keep cb i then Tuple.batch_copy_row cb i b
-      done;
-      if b.Tuple.len = 0 then next_batch () else Some b
-  in
-  make ~schema:child.schema ~kids:[child] ~next_batch
-    ~reset:child.reset
-    ~param_dep:(preds_param_dep preds)
-    ~info:{ name = "filter"; detail = preds_detail preds; children = [child.info] }
-    ()
+(* --- project, sort, materialize ------------------------------------------ *)
 
 let tuples_equal t1 t2 = Array.for_all2 Tuple.value_equal t1 t2
 
+(* Project works batch-to-batch: each row of the child's batch is
+   remapped into a reusable output batch sized off the child's, skipping
+   the row-generator machinery entirely. *)
 let project ~cols ~dedup child =
   let positions = Array.of_list (List.map (Tuple.position child.schema) cols) in
   let width = Array.length positions in
-  let dedup_name, fresh_state =
-    match dedup with
-    | `No -> ("", fun () -> fun _ -> true)
-    | `Adjacent ->
-      ( "dedup:adjacent",
-        fun () ->
-          let prev = ref None in
-          fun tuple ->
-            match !prev with
-            | Some p when tuples_equal p tuple -> false
-            | Some _ | None ->
-              prev := Some tuple;
-              true )
-    | `Hash ->
-      ( "dedup:hash",
-        fun () ->
-          let seen = Hashtbl.create 256 in
-          fun tuple ->
-            let key = Tuple.encode tuple in
-            if Hashtbl.mem seen key then false
-            else begin
-              Hashtbl.replace seen key ();
-              true
-            end )
+  (* The last row emitted, for one-pass adjacent dedup over sorted
+     input. *)
+  let prev = ref None in
+  let accept tuple =
+    match dedup, !prev with
+    | `No, _ -> true
+    | `Adjacent, Some p when tuples_equal p tuple -> false
+    | `Adjacent, (Some _ | None) ->
+      prev := Some tuple;
+      true
   in
-  let accept = ref (fresh_state ()) in
   let out = ref None in
   let rec next_batch () =
     match child.next_batch () with
     | None -> None
     | Some cb ->
-      let b = ensure_out out ~width cb.Tuple.cap in
+      let b =
+        match !out with
+        | Some b when b.Tuple.cap >= cb.Tuple.cap -> b
+        | Some _ | None ->
+          let b = Tuple.batch_create ~width (max 1 cb.Tuple.cap) in
+          out := Some b;
+          b
+      in
       Tuple.batch_clear b;
       for i = 0 to cb.Tuple.len - 1 do
         let projected = Array.map (fun p -> cb.Tuple.cols.(p).(i)) positions in
-        if !accept projected then Tuple.batch_push b projected
+        if accept projected then Tuple.batch_push b projected
       done;
       if b.Tuple.len = 0 then next_batch () else Some b
   in
   make ~schema:cols ~kids:[child] ~next_batch
     ~reset:(fun () ->
       child.reset ();
-      accept := fresh_state ())
+      prev := None)
     ~info:
       { name = "project";
         detail =
           String.concat ", "
             (List.map (fun c -> Printf.sprintf "%s.%s" c.A.rel (A.field_name c.A.field)) cols)
-          ^ (if String.equal dedup_name "" then "" else "; " ^ dedup_name);
-        children = [child.info] }
+          ^ (match dedup with `No -> "" | `Adjacent -> "; dedup:adjacent") }
     ()
 
 let key_positions schema key_cols =
@@ -1254,39 +1071,34 @@ let compare_on positions t1 t2 =
   in
   go 0
 
-let sort ?(dedup = false) ~mode ~key_cols child ctx =
+let sort_detail key_cols =
+  String.concat ", "
+    (List.map (fun c -> Printf.sprintf "%s.%s" c.A.rel (A.field_name c.A.field)) key_cols)
+  ^ "; dedup"
+
+let sort ~mode ~key_cols child ctx =
   let positions = key_positions child.schema key_cols in
-  let dedup_pass tuples =
-    if not dedup then tuples
-    else begin
-      let rec go prev = function
-        | [] -> []
-        | t :: rest ->
-          (match prev with
-           | Some p when compare_on positions p t = 0 -> go prev rest
-           | Some _ | None -> t :: go (Some t) rest)
-      in
-      go None tuples
-    end
+  (* Sorted input: drop every row whose key equals its predecessor's. *)
+  let dedup tuples =
+    let rec go prev = function
+      | [] -> []
+      | t :: rest ->
+        (match prev with
+         | Some p when compare_on positions p t = 0 -> go prev rest
+         | Some _ | None -> t :: go (Some t) rest)
+    in
+    go None tuples
   in
-  let fill_mem () =
-    dedup_pass (List.stable_sort (compare_on positions) (drain child))
-  in
+  let fill_mem () = dedup (List.stable_sort (compare_on positions) (drain child)) in
   let fill_external () =
     let compare_records a b =
       Xqdb_storage.Bytes_codec.compare_bytes (Tuple.key_of_encoded a) (Tuple.key_of_encoded b)
     in
     let sorter = Xqdb_storage.Ext_sort.create ctx.pool ~compare:compare_records in
-    let cur = cursor_of child in
-    cur.restart ();
-    let rec feed () =
-      match cur.pull () with
-      | None -> ()
-      | Some tuple ->
-        Xqdb_storage.Ext_sort.feed sorter (Tuple.encode_with_key ~key_positions:positions tuple);
-        feed ()
-    in
-    feed ();
+    iter_rows
+      (fun tuple ->
+        Xqdb_storage.Ext_sort.feed sorter (Tuple.encode_with_key ~key_positions:positions tuple))
+      child;
     let cursor = Xqdb_storage.Ext_sort.sorted_cursor sorter in
     let rec collect acc =
       tick ctx;
@@ -1294,7 +1106,7 @@ let sort ?(dedup = false) ~mode ~key_cols child ctx =
       | None -> List.rev acc
       | Some record -> collect (snd (Tuple.decode_keyed record) :: acc)
     in
-    dedup_pass (collect [])
+    dedup (collect [])
   in
   let fill = match mode with
     | `In_mem -> fill_mem
@@ -1304,41 +1116,22 @@ let sort ?(dedup = false) ~mode ~key_cols child ctx =
     ~clear_on_rebind:child.param_dep
     ~info:
       { name = (match mode with `In_mem -> "sort" | `External -> "ext-sort");
-        detail =
-          String.concat ", "
-            (List.map (fun c -> Printf.sprintf "%s.%s" c.A.rel (A.field_name c.A.field)) key_cols)
-          ^ (if dedup then "; dedup" else "");
-        children = [child.info] }
+        detail = sort_detail key_cols }
     ~fill
 
-let btree_sort ?(dedup = true) ~key_cols child ctx =
+let btree_sort ~key_cols child ctx =
   let positions = key_positions child.schema key_cols in
   let fill () =
     let bt = Xqdb_storage.Btree.create ctx.pool in
-    let cur = cursor_of child in
-    cur.restart ();
-    let seq = ref 0 in
-    let rec feed () =
-      tick ctx;
-      match cur.pull () with
-      | None -> ()
-      | Some tuple ->
-        let key =
-          if dedup then Tuple.key_of_encoded (Tuple.encode_with_key ~key_positions:positions tuple)
-          else begin
-            (* Non-dedup mode appends a sequence number as tiebreak. *)
-            incr seq;
-            let buf = Buffer.create 48 in
-            Buffer.add_bytes buf
-              (Tuple.key_of_encoded (Tuple.encode_with_key ~key_positions:positions tuple));
-            Xqdb_storage.Bytes_codec.key_int buf !seq;
-            Buffer.to_bytes buf
-          end
-        in
-        Xqdb_storage.Btree.insert bt ~key ~value:(Tuple.encode tuple);
-        feed ()
-    in
-    feed ();
+    (* Key collisions overwrite: the duplicate elimination wanted on
+       vartuples. *)
+    iter_rows
+      (fun tuple ->
+        tick ctx;
+        Xqdb_storage.Btree.insert bt
+          ~key:(Tuple.key_of_encoded (Tuple.encode_with_key ~key_positions:positions tuple))
+          ~value:(Tuple.encode tuple))
+      child;
     let cursor = Xqdb_storage.Btree.scan_range bt in
     let rec collect acc =
       tick ctx;
@@ -1350,13 +1143,7 @@ let btree_sort ?(dedup = true) ~key_cols child ctx =
   in
   replay_op ~schema:child.schema ~kids:[child] ~ctx
     ~clear_on_rebind:child.param_dep
-    ~info:
-      { name = "btree-sort";
-        detail =
-          String.concat ", "
-            (List.map (fun c -> Printf.sprintf "%s.%s" c.A.rel (A.field_name c.A.field)) key_cols)
-          ^ (if dedup then "; dedup" else "");
-        children = [child.info] }
+    ~info:{ name = "btree-sort"; detail = sort_detail key_cols }
     ~fill
 
 let materialize where child ctx =
@@ -1364,50 +1151,26 @@ let materialize where child ctx =
   | `Mem ->
     replay_op ~schema:child.schema ~kids:[child] ~ctx
       ~clear_on_rebind:child.param_dep
-      ~info:{ name = "materialize"; detail = "memory"; children = [child.info] }
+      ~info:{ name = "materialize"; detail = "memory" }
       ~fill:(fun () -> drain child)
   | `Disk ->
-    let spool = ref None in
-    let cursor = ref (fun () -> None) in
-    let cur = cursor_of child in
-    let fill () =
-      match !spool with
-      | Some hf -> hf
+    let replay, forget = spool ctx child in
+    let rows = ref None in
+    let rewind () = rows := Some (replay ()) in
+    let rec gen () =
+      match !rows with
+      | Some pull -> pull ()
       | None ->
-        let hf = Xqdb_storage.Heap_file.create ctx.pool in
-        cur.restart ();
-        let rec go () =
-          tick ctx;
-          match cur.pull () with
-          | None -> ()
-          | Some tuple ->
-            ignore (Xqdb_storage.Heap_file.append hf (Tuple.encode tuple));
-            go ()
-        in
-        go ();
-        spool := Some hf;
-        hf
-    in
-    let started = ref false in
-    let gen () =
-      if not !started then begin
-        started := true;
-        cursor := Xqdb_storage.Heap_file.scan (fill ())
-      end;
-      match !cursor () with
-      | None -> None
-      | Some data -> Some (Tuple.decode data)
+        rewind ();
+        gen ()
     in
     make ~schema:child.schema ~kids:[child]
       ~clear:
         (if child.param_dep then (fun () ->
-             spool := None;
-             cursor := (fun () -> None);
-             started := false)
+             forget ();
+             rows := None)
          else ignore)
-      ~info:{ name = "materialize"; detail = "disk"; children = [child.info] }
+      ~info:{ name = "materialize"; detail = "disk" }
       ~next_batch:(batched ctx ~schema:child.schema gen)
-      ~reset:(fun () ->
-        started := true;
-        cursor := Xqdb_storage.Heap_file.scan (fill ()))
+      ~reset:rewind
       ()

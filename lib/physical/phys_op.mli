@@ -1,29 +1,15 @@
-(** Physical operators (milestones 3 and 4).
+(** Physical operators (milestones 3 and 4): vectorized pull iterators
+    exchanging columnar {!Tuple.batch}es, so closure dispatch, budget
+    polls and stats are paid once per batch.  The paper's physical
+    choices are distinct constructors: order-preserving nested-loop
+    joins ({!nl_join}), index nested-loop joins and index selection
+    ({!inl_join}, {!label_scan}), one-pass adjacent dedup ({!project}),
+    external and clustered-B-tree sorting ({!sort}, {!btree_sort}) and
+    disk materialization ({!materialize}).
 
-    Vectorized Volcano-style pull iterators: operators exchange columnar
-    {!Tuple.batch}es instead of single tuples, so the per-call costs —
-    closure dispatch, budget polls, stats/I/O attribution — are paid
-    once per batch.  Logical TPM/PSX expressions are compiled into trees
-    of these by the planner; the key physical choices of the paper
-    appear as distinct constructors:
-
-    - order-preserving nested-loop join ({!nl_join}) — the milestone-3
-      workhorse ("but no block-nested-loops join", which would destroy
-      order);
-    - index nested-loop join ({!inl_join}) and index-based selection
-      ({!label_scan}) — milestone 4;
-    - projection with one-pass duplicate removal over sorted input
-      ({!project} with [`Adjacent]) — the milestone-3 "basic strategy";
-    - external sort ({!sort} with [`External]) — ordering approach (a);
-    - clustered-B-tree sorting ({!btree_sort}) — the students' "creative
-      workaround" (approach (c));
-    - disk materialization of intermediates ({!materialize}) — milestone
-      3's "write each intermediate result to disk and re-read it".
-
-    All operators poll the context's {!Xqdb_storage.Budget} once per
-    batch for its deadline and time cap.  The page-I/O cap is not
-    polled: the buffer pool enforces it on the I/O itself, so a plan is
-    censored within two I/Os of its cap whatever the batch size. *)
+    Every batch is filled by one loop, which polls the context's
+    {!Xqdb_storage.Budget} for its deadline and time cap.  The page-I/O
+    cap is not polled: the buffer pool enforces it on the I/O itself. *)
 
 module A := Xqdb_tpm.Tpm_algebra
 
@@ -58,7 +44,6 @@ val set_budget : ctx -> Xqdb_storage.Budget.t option -> unit
 type info = {
   name : string;
   detail : string;
-  children : info list;
 }
 
 type stats = {
@@ -110,26 +95,15 @@ val close : ctx -> t -> unit
     backtraces if a pin escaped.  The engine closes every relfor site's
     tree after draining it. *)
 
-val pp_info : Format.formatter -> info -> unit
-val info_to_string : info -> string
-
 (** {2 Profiles}
 
-    Every operator measures itself: its [next_batch] and [reset]
-    closures are wrapped so that rows and batches produced, page I/Os
-    and elapsed time spent inside them accumulate into [stats].  The
-    page I/Os are those the disks charge to the installed
-    {!Xqdb_storage.Metrics.scope} — the running request's, which the
-    engine installs around a measured run — so under concurrent sessions
-    an operator is never charged for another session's I/O; outside any
-    scope operators report zero I/Os.  Attribution is at batch
-    granularity — two scope reads and two clock reads per batch, not per
-    row — which is where vectorization wins back the measurement
-    overhead.  The measurements are inclusive (a child only
-    runs inside its parent's call windows); {!profile} turns an operator
-    tree into a tree of per-operator numbers with the exclusive share
-    ([own_ios], [own_seconds]) recovered by subtracting the inputs'
-    inclusive totals. *)
+    Every operator measures itself: rows and batches produced, and the
+    page I/Os and elapsed time spent inside its [next_batch] and [reset],
+    accumulate into [stats].  The page I/Os are those charged to the
+    installed {!Xqdb_storage.Metrics.scope} (the running request's), so
+    concurrent sessions never charge each other; outside any scope they
+    are zero.  The measurements are inclusive; {!profile} recovers the
+    exclusive share by subtracting the inputs' totals. *)
 
 type profile = {
   op : string;  (** operator name, as in [info.name] *)
@@ -152,28 +126,10 @@ val pp_profile : Format.formatter -> profile -> unit
 
 val profile_to_string : profile -> string
 
-val merge_profile : profile -> profile -> profile
-(** Pointwise sum of two profiles of the same plan shape; used to
-    aggregate the instantiations a nested relfor makes per outer
-    binding into one breakdown per compile-time site. *)
-
 val drain : t -> Tuple.t list
+(** Reset and collect every row. *)
+
 val count : t -> int
-
-(** {2 Row-wise consumption} *)
-
-type cursor = {
-  pull : unit -> Tuple.t option;
-      (** materialize the next row of the child's batch stream *)
-  restart : unit -> unit;
-      (** reset the child and forget the held batch *)
-}
-
-val cursor_of : t -> cursor
-(** A tuple-at-a-time view of an operator's batch stream, for consumers
-    whose logic is inherently row-wise.  The held batch is fully
-    consumed before the child is pulled again, so batch reuse is
-    safe. *)
 
 (* --- access paths --- *)
 
@@ -303,24 +259,21 @@ val twig_match :
     i.e. exactly the order of the equivalent left-deep order-preserving
     nested-loop plan. *)
 
-(* --- projection, dedup, sort, materialization --- *)
+(* --- projection, sort, materialization --- *)
 
-val project : cols:A.col list -> dedup:[`No | `Adjacent | `Hash] -> t -> t
+val project : cols:A.col list -> dedup:[`No | `Adjacent] -> t -> t
+(** [`Adjacent] drops a row equal to the previous one: one-pass dedup
+    over sorted input, the milestone-3 "basic strategy". *)
 
-val filter : ?params:Tuple.params -> preds:A.pred list -> t -> t
+val sort : mode:[`In_mem | `External] -> key_cols:A.col list -> t -> ctx -> t
+(** Sort on [key_cols], in memory or externally (approach (a)), keeping
+    the first row of each run of equal keys. *)
 
-val sort :
-  ?dedup:bool ->
-  mode:[`In_mem | `External] ->
-  key_cols:A.col list ->
-  t ->
-  ctx ->
-  t
-
-val btree_sort : ?dedup:bool -> key_cols:A.col list -> t -> ctx -> t
+val btree_sort : key_cols:A.col list -> t -> ctx -> t
 (** Sort by inserting into a scratch clustered B+-tree and scanning it —
-    approach (c).  With [dedup] (default true) key collisions overwrite,
-    which is exactly the duplicate elimination wanted on vartuples. *)
+    approach (c).  Key collisions overwrite, which is exactly the
+    duplicate elimination wanted on vartuples. *)
 
 val materialize : [`Mem | `Disk] -> t -> ctx -> t
-(** Spool the input once; [reset] then re-reads the spool. *)
+(** Spool the input once; [reset] then re-reads the spool.  [`Disk]
+    spools to a heap file, as {!nl_join}'s [`Disk] inner does. *)

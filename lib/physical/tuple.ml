@@ -64,28 +64,36 @@ let bind_params (params : params) env =
       slot.bound_out <- nout)
     params
 
-let compile_operand ?(params = no_params) schema operand =
+(* What a compiled operand reads: a column position, a constant, or a
+   parameter slot's in or out value. *)
+type source =
+  | Column of int
+  | Const of value
+  | Slot_in of param_slot
+  | Slot_out of param_slot
+
+let resolve ~fn params schema operand =
   let slot x =
     match List.assoc_opt x params with
     | Some s -> s
     | None ->
       invalid_arg
-        (Printf.sprintf "Tuple.compile_operand: unresolved external %s"
-           (Xqdb_xq.Xq_print.var x))
+        (Printf.sprintf "Tuple.%s: unresolved external %s" fn (Xqdb_xq.Xq_print.var x))
   in
   match operand with
-  | A.Ocol c ->
-    let i = position schema c in
-    fun tuple -> tuple.(i)
-  | A.Oint v -> Fun.const (I v)
-  | A.Ostr s -> Fun.const (S s)
-  | A.Otype ty -> Fun.const (I (Xqdb_xasr.Xasr.node_type_code ty))
-  | A.Oextern_in x ->
-    let s = slot x in
-    fun _ -> I s.bound_in
-  | A.Oextern_out x ->
-    let s = slot x in
-    fun _ -> I s.bound_out
+  | A.Ocol c -> Column (position schema c)
+  | A.Oint v -> Const (I v)
+  | A.Ostr s -> Const (S s)
+  | A.Otype ty -> Const (I (Xqdb_xasr.Xasr.node_type_code ty))
+  | A.Oextern_in x -> Slot_in (slot x)
+  | A.Oextern_out x -> Slot_out (slot x)
+
+let compile_operand ?(params = no_params) schema operand =
+  match resolve ~fn:"compile_operand" params schema operand with
+  | Column i -> fun tuple -> tuple.(i)
+  | Const v -> fun _ -> v
+  | Slot_in s -> fun _ -> I s.bound_in
+  | Slot_out s -> fun _ -> I s.bound_out
 
 let compile_pred ?params schema (p : A.pred) =
   let left = compile_operand ?params schema p.A.left in
@@ -117,7 +125,6 @@ let batch_create ~width cap =
   if cap <= 0 then invalid_arg "Tuple.batch_create: capacity must be positive";
   { cols = Array.init width (fun _ -> Array.make cap (I 0)); cap; len = 0 }
 
-let batch_width b = Array.length b.cols
 let batch_clear b = b.len <- 0
 let batch_full b = b.len >= b.cap
 
@@ -129,51 +136,15 @@ let batch_push b tuple =
 let batch_row b i =
   Array.map (fun col -> col.(i)) b.cols
 
-let batch_copy_row src i dst =
-  let row = dst.len in
-  Array.iteri (fun c col -> col.(row) <- src.cols.(c).(i)) dst.cols;
-  dst.len <- row + 1
-
-let batch_of_list ~width tuples =
-  let cap = max 1 (List.length tuples) in
-  let b = batch_create ~width cap in
-  List.iter (batch_push b) tuples;
-  b
-
-let batch_to_list b =
-  List.init b.len (batch_row b)
-
 (* Batch-compiled operands and predicates read column arrays directly —
    no per-row tuple is materialized on the scan hot paths. *)
 
 let compile_operand_batch ?(params = no_params) schema operand =
-  let slot x =
-    match List.assoc_opt x params with
-    | Some s -> s
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Tuple.compile_operand_batch: unresolved external %s"
-           (Xqdb_xq.Xq_print.var x))
-  in
-  match operand with
-  | A.Ocol c ->
-    let i = position schema c in
-    fun b row -> b.cols.(i).(row)
-  | A.Oint v ->
-    let v = I v in
-    fun _ _ -> v
-  | A.Ostr s ->
-    let v = S s in
-    fun _ _ -> v
-  | A.Otype ty ->
-    let v = I (Xqdb_xasr.Xasr.node_type_code ty) in
-    fun _ _ -> v
-  | A.Oextern_in x ->
-    let s = slot x in
-    fun _ _ -> I s.bound_in
-  | A.Oextern_out x ->
-    let s = slot x in
-    fun _ _ -> I s.bound_out
+  match resolve ~fn:"compile_operand_batch" params schema operand with
+  | Column i -> fun b row -> b.cols.(i).(row)
+  | Const v -> fun _ _ -> v
+  | Slot_in s -> fun _ _ -> I s.bound_in
+  | Slot_out s -> fun _ _ -> I s.bound_out
 
 let compile_pred_batch ?params schema (p : A.pred) =
   let left = compile_operand_batch ?params schema p.A.left in
@@ -200,8 +171,6 @@ let of_xasr (x : Xqdb_xasr.Xasr.tuple) =
      I x.parent_in;
      I (Xqdb_xasr.Xasr.node_type_code x.ntype);
      S x.value |]
-
-let project positions tuple = Array.map (fun i -> tuple.(i)) positions
 
 let encode tuple =
   let buf = Buffer.create 32 in

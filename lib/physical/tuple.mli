@@ -79,7 +79,6 @@ val batch_create : width:int -> int -> batch
 (** [batch_create ~width cap]: empty batch with [width] column arrays of
     [cap] rows each.  @raise Invalid_argument when [cap <= 0]. *)
 
-val batch_width : batch -> int
 val batch_clear : batch -> unit
 val batch_full : batch -> bool
 
@@ -88,14 +87,6 @@ val batch_push : batch -> t -> unit
 
 val batch_row : batch -> int -> t
 (** Materialize row [i] as a fresh tuple. *)
-
-val batch_copy_row : batch -> int -> batch -> unit
-(** [batch_copy_row src i dst]: append [src]'s row [i] to [dst]
-    column-wise, without materializing a tuple.  The batches must have
-    the same width. *)
-
-val batch_of_list : width:int -> t list -> batch
-val batch_to_list : batch -> t list
 
 val compile_operand_batch :
   ?params:params -> schema -> Xqdb_tpm.Tpm_algebra.operand -> batch -> int -> value
@@ -113,8 +104,6 @@ val xasr_schema : string -> schema
     in, out, parent_in, type, value. *)
 
 val of_xasr : Xqdb_xasr.Xasr.tuple -> t
-
-val project : int array -> t -> t
 
 (* Serialization for materialization and sorting. *)
 val encode : t -> bytes
