@@ -194,10 +194,14 @@ let out_of t nin =
   | Some tuple -> tuple.Xasr.nout
   | None -> Storage.Xqdb_error.corrupt "Engine: dangling binding"
 
-let output_of t env x =
-  let nin, _ = lookup_env env x in
-  if nin = 1 then Reconstruct.root_forest t.store
-  else [Reconstruct.subtree_by_in t.store nin]
+(* A result is its node's [[in .. out - 1]] range, streamed from the
+   primary's leaves; the virtual root's children start at [in] 2.
+   Produces a node unless the range is empty (an empty document). *)
+let write_out reader buf env x =
+  let nin, nout = lookup_env env x in
+  let lo = if nin = 1 then 2 else nin and hi = nout - 1 in
+  Reconstruct.write_range reader buf ~lo ~hi;
+  lo <= hi
 
 let guard_holds t budget env c =
   (* Evaluate the residual condition navigationally, fetching tuples
@@ -232,15 +236,38 @@ let staged_profiles (staged : Pipeline.staged) =
     (fun (site : Plan_ir.site) -> Op.profile site.Plan_ir.template.Planner.op)
     (Plan_ir.sites staged.Pipeline.phys)
 
-let rec exec t budget (env : env) (phys : Plan_ir.phys) : Tree.forest =
+(* Execution serializes straight into the run's buffer through the
+   run's one forward reader.  It returns whether it produced a node, so
+   a constructor can choose between [<l/>] and [<l></l>] the way the
+   forest printer does: [text { "" }] is a node that writes no byte. *)
+let rec exec t budget reader buf (env : env) (phys : Plan_ir.phys) : bool =
   match phys with
-  | Plan_ir.P_empty -> []
-  | Plan_ir.P_text s -> [Tree.Text s]
-  | Plan_ir.P_constr (label, body) -> [Tree.Elem (label, exec t budget env body)]
-  | Plan_ir.P_seq (p1, p2) -> exec t budget env p1 @ exec t budget env p2
-  | Plan_ir.P_out x -> output_of t env x
+  | Plan_ir.P_empty -> false
+  | Plan_ir.P_text s ->
+    Buffer.add_string buf (Xml_print.escape_text s);
+    true
+  | Plan_ir.P_constr (label, body) ->
+    Buffer.add_char buf '<';
+    Buffer.add_string buf label;
+    let open_end = Buffer.length buf in
+    Buffer.add_char buf '>';
+    if exec t budget reader buf env body then begin
+      Buffer.add_string buf "</";
+      Buffer.add_string buf label;
+      Buffer.add_char buf '>'
+    end
+    else begin
+      Buffer.truncate buf open_end;
+      Buffer.add_string buf "/>"
+    end;
+    true
+  | Plan_ir.P_seq (p1, p2) ->
+    let first = exec t budget reader buf env p1 in
+    let second = exec t budget reader buf env p2 in
+    first || second
+  | Plan_ir.P_out x -> write_out reader buf env x
   | Plan_ir.P_guard (c, body) ->
-    if guard_holds t budget env c then exec t budget env body else []
+    guard_holds t budget env c && exec t budget reader buf env body
   | Plan_ir.P_relfor site ->
     let tmpl = site.Plan_ir.template in
     (* Bind this environment's outer values into the parameter slots and
@@ -256,24 +283,24 @@ let rec exec t budget (env : env) (phys : Plan_ir.phys) : Tree.forest =
       match op.Op.next_batch () with
       | Some _ ->
         Op.close tmpl.Planner.ctx op;
-        exec t budget env site.Plan_ir.body
+        exec t budget reader buf env site.Plan_ir.body
       | None ->
         Op.close tmpl.Planner.ctx op;
-        []
+        false
     end
     else
-    let rec loop acc =
+    let rec loop produced =
       match op.Op.next_batch () with
       | None ->
         Op.close tmpl.Planner.ctx op;
-        List.concat (List.rev acc)
+        produced
       | Some b ->
         (* The batch is the operator's reusable storage: every binding is
            read out of the column arrays before the next [next_batch]
            call overwrites them.  Body execution between rows is safe —
            nested sites run their own operator trees. *)
-        let rec rows row acc =
-          if row >= b.Tuple.len then acc
+        let rec rows row produced =
+          if row >= b.Tuple.len then produced
           else begin
             let env' =
               List.concat
@@ -288,12 +315,13 @@ let rec exec t budget (env : env) (phys : Plan_ir.phys) : Tree.forest =
                    site.Plan_ir.bindings)
               @ env
             in
-            rows (row + 1) (exec t budget env' site.Plan_ir.body :: acc)
+            let body = exec t budget reader buf env' site.Plan_ir.body in
+            rows (row + 1) (produced || body)
           end
         in
-        loop (rows 0 acc)
+        loop (rows 0 produced)
     in
-    loop []
+    loop false
 
 (* --- public entry points ------------------------------------------------ *)
 
@@ -336,13 +364,23 @@ type result = {
 
 let root_env t = [(Xq_ast.root_var, (1, t.root_out))]
 
+(* Milestones 1/2 evaluate to a forest; the staged forms stream their
+   serialization. *)
+type output =
+  | Forest of Tree.forest
+  | Serialized of string
+
+let serialized = function
+  | Forest forest -> Xml_print.forest_to_string forest
+  | Serialized s -> s
+
 (* Run a prepared query.  [operators] is filled with a profile producer
    before execution starts, so the caller can harvest per-site operator
    breakdowns even when the run aborts mid-way. *)
-let rec run_form t budget operators (p : prepared) : Tree.forest =
+let rec run_form t budget operators (p : prepared) : output =
   match (p.p_form, t.config.Engine_config.milestone) with
-  | Direct, Engine_config.M1 -> Xq_eval.eval t.doc p.p_query
-  | Direct, Engine_config.M2 -> Nav_eval.eval ?budget t.store p.p_query
+  | Direct, Engine_config.M1 -> Forest (Xq_eval.eval t.doc p.p_query)
+  | Direct, Engine_config.M2 -> Forest (Nav_eval.eval ?budget t.store p.p_query)
   | Direct, Engine_config.Algebraic ->
     (* Prepared under a direct-evaluation configuration but executed on
        an algebraic one: compile (through the cache) and re-dispatch. *)
@@ -350,11 +388,17 @@ let rec run_form t budget operators (p : prepared) : Tree.forest =
   | Staged staged, _ ->
     arm_staged staged budget;
     operators := (fun () -> staged_profiles staged);
-    exec t budget (root_env t) staged.Pipeline.phys
+    let buf = Buffer.create 1024 in
+    ignore (exec t budget (Store.reader t.store) buf (root_env t) staged.Pipeline.phys);
+    Serialized (Buffer.contents buf)
 
+(* A staged result's forest is the parse of its output: there is one
+   execution path per form. *)
 let eval t query =
   let operators = ref (fun () -> []) in
-  run_form t None operators (compile_internal t query)
+  match run_form t None operators (compile_internal t query) with
+  | Forest forest -> forest
+  | Serialized s -> Xml_parser.parse_forest ~strip_ws:false s
 
 (* The run's one accounting source is its budget's Metrics scope,
    installed with the budget around compile, execute and serialize: the
@@ -372,7 +416,7 @@ let measured ?max_page_ios ?max_seconds ?deadline t exec =
   let status, output =
     Storage.Budget.run budget (fun () ->
         match exec (Some budget) operators with
-        | forest -> (Ok, Xml_print.forest_to_string forest)
+        | output -> (Ok, output)
         | exception Storage.Budget.Exhausted msg -> (Budget_exceeded msg, "")
         | exception Storage.Budget.Deadline_exceeded msg -> (Timeout msg, "")
         | exception Xq_eval.Type_error msg -> (Error msg, "")
@@ -417,11 +461,11 @@ let run ?max_page_ios ?max_seconds ?deadline t query =
      I/O (cursors opened while building plans) in the run's accounting;
      a cache hit makes it free, which is the point. *)
   measured ?max_page_ios ?max_seconds ?deadline t (fun budget operators ->
-      run_form t budget operators (compile_internal t query))
+      serialized (run_form t budget operators (compile_internal t query)))
 
 let execute ?max_page_ios ?max_seconds ?deadline t prepared =
   measured ?max_page_ios ?max_seconds ?deadline t (fun budget operators ->
-      run_form t budget operators prepared)
+      serialized (run_form t budget operators prepared))
 
 let run_string ?max_page_ios ?max_seconds ?deadline t input =
   run ?max_page_ios ?max_seconds ?deadline t (Xq_parser.parse input)

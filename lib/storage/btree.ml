@@ -320,55 +320,79 @@ let delete t ~key =
 
 (* --- scans ------------------------------------------------------------ *)
 
-(* Descend from [pid] to the leaf that would hold [key] (the leftmost
-   leaf without one); the leaf's window also finds the first slot to
-   read, so the descent pins each level once. *)
-let rec descend t pid key =
-  Metrics.incr m_node_reads;
-  let step =
-    Buffer_pool.with_page t.pool pid (fun p ->
-        match (Page.flags p = kind_leaf, key) with
-        | true, None -> `Leaf 0
-        | true, Some k -> `Leaf (fst (leaf_lower_bound p k))
-        | false, None -> `Child (Page.next p)
-        | false, Some k -> `Child (internal_child p k))
-  in
-  match step with
-  | `Leaf pos -> (pid, pos)
-  | `Child child -> descend t child key
-
-(* The one leaf walker.  Each pull pins the next leaf once and, inside
-   that window, copies out its cells from the current slot up to the
-   first key satisfying [stop], which ends the scan.  Never returns an
-   empty array; an emptied leaf is walked past. *)
-let leaf_cursor t (leaf, start) ~stop =
-  let cur_leaf = ref leaf in  (* 0 once the scan has ended *)
-  let cur_pos = ref start in
-  let rec pull () =
-    if !cur_leaf = 0 then None
+(* Copy out the cells of the pinned leaf [p] from slot [start]: up to the
+   first key satisfying [stop] (not taken) or the first satisfying
+   [upto] (taken), either of which ends the walk.  Returns the cells in
+   key order and the leaf to read next, 0 once the walk has ended. *)
+let take_cells p start ~stop ~upto =
+  let n = Page.slot_count p in
+  let rec take i acc =
+    if i >= n then (acc, Page.next p)
     else begin
+      let cell = Page.read_slot p i in
+      let key = leaf_cell_key cell in
+      if stop key then (acc, 0)
+      else begin
+        let acc = (key, leaf_cell_value cell) :: acc in
+        if upto key then (acc, 0) else take (i + 1) acc
+      end
+    end
+  in
+  let acc, next = take start [] in
+  (Array.of_list (List.rev acc), next)
+
+let never _ = false
+
+(* Descend from the root to the leaf that would hold [key] (the leftmost
+   leaf without one), pinning each level once.  [window pid p pos] runs
+   inside the leaf's own pin, [pos] being the first slot to read, so the
+   first leaf window is copied without a second pin. *)
+let descend t key ~window =
+  let rec go pid =
+    Metrics.incr m_node_reads;
+    let step =
+      Buffer_pool.with_page t.pool pid (fun p ->
+          match (Page.flags p = kind_leaf, key) with
+          | true, None -> `Leaf (window pid p 0)
+          | true, Some k -> `Leaf (window pid p (fst (leaf_lower_bound p k)))
+          | false, None -> `Child (Page.next p)
+          | false, Some k -> `Child (internal_child p k))
+    in
+    match step with
+    | `Leaf w -> w
+    | `Child child -> go child
+  in
+  go t.root
+
+(* The one leaf walker.  It starts with the window the descent copied;
+   each later pull pins the next leaf once and copies its window with
+   [window] (from slot 0), which also decides where the walk ends.
+   Never returns an empty array; an emptied leaf is walked past. *)
+let leaf_cursor t ~window (cells, next) =
+  let pending = ref cells in  (* copied, not yet returned *)
+  let cur_leaf = ref next in  (* 0 once the walk has ended *)
+  let rec pull () =
+    if Array.length !pending > 0 then begin
+      let cells = !pending in
+      pending := [||];
+      Some cells
+    end
+    else if !cur_leaf = 0 then None
+    else begin
+      let leaf = !cur_leaf in
       Metrics.incr m_node_reads;
-      let cells, next =
-        Buffer_pool.with_page t.pool !cur_leaf (fun p ->
-            let n = Page.slot_count p in
-            let rec take i acc =
-              if i >= n then (acc, Page.next p)
-              else begin
-                let cell = Page.read_slot p i in
-                let key = leaf_cell_key cell in
-                if stop key then (acc, 0)
-                else take (i + 1) ((key, leaf_cell_value cell) :: acc)
-              end
-            in
-            let acc, next = take !cur_pos [] in
-            (Array.of_list (List.rev acc), next))
-      in
+      let cells, next = Buffer_pool.with_page t.pool leaf (fun p -> window leaf p 0) in
+      pending := cells;
       cur_leaf := next;
-      cur_pos := 0;
-      if Array.length cells = 0 then pull () else Some cells
+      pull ()
     end
   in
   pull
+
+(* A scan ends before the first key satisfying [stop]. *)
+let scan_leaves t lo ~stop =
+  let window _ p pos = take_cells p pos ~stop ~upto:never in
+  leaf_cursor t ~window (descend t lo ~window)
 
 let has_prefix ~prefix key =
   let plen = Bytes.length prefix in
@@ -380,14 +404,13 @@ let has_prefix ~prefix key =
 let scan_range_pages ?lo ?hi t =
   let stop =
     match hi with
-    | None -> fun _ -> false
+    | None -> never
     | Some hi -> fun key -> Bytes.compare key hi > 0
   in
-  leaf_cursor t (descend t t.root lo) ~stop
+  scan_leaves t lo ~stop
 
 let scan_prefix_pages t ~prefix =
-  leaf_cursor t (descend t t.root (Some prefix)) ~stop:(fun key ->
-      not (has_prefix ~prefix key))
+  scan_leaves t (Some prefix) ~stop:(fun key -> not (has_prefix ~prefix key))
 
 (* Row cursors serve each page's copied cells from memory. *)
 let flatten pages =
@@ -410,6 +433,49 @@ let flatten pages =
 
 let scan_range ?lo ?hi t = flatten (scan_range_pages ?lo ?hi t)
 let scan_prefix t ~prefix = flatten (scan_prefix_pages t ~prefix)
+
+(* --- forward reader ----------------------------------------------------- *)
+
+type reader = {
+  tree : t;
+  mutable leaf : int;  (* the last leaf read; 0 before the first range *)
+  mutable first_key : bytes;  (* that leaf's key span *)
+  mutable last_key : bytes;
+}
+(* Created per run and never handed to another domain. *)
+[@@domain_local]
+
+let reader tree = { tree; leaf = 0; first_key = Bytes.empty; last_key = Bytes.empty }
+
+let read_range r ~lo ~hi f =
+  let t = r.tree in
+  let window pid p pos =
+    let n = Page.slot_count p in
+    if pid <> r.leaf && n > 0 then begin
+      r.leaf <- pid;
+      r.first_key <- leaf_cell_key (Page.read_slot p 0);
+      r.last_key <- leaf_cell_key (Page.read_slot p (n - 1))
+    end;
+    take_cells p pos ~stop:(fun key -> Bytes.compare key hi > 0) ~upto:(Bytes.equal hi)
+  in
+  let first =
+    if r.leaf <> 0 && Bytes.compare r.first_key lo <= 0 && Bytes.compare lo r.last_key <= 0
+    then begin
+      let leaf = r.leaf in
+      Metrics.incr m_node_reads;
+      Buffer_pool.with_page t.pool leaf (fun p -> window leaf p (fst (leaf_lower_bound p lo)))
+    end
+    else descend t (Some lo) ~window
+  in
+  let pages = leaf_cursor t ~window first in
+  let rec drain () =
+    match pages () with
+    | None -> ()
+    | Some cells ->
+      f cells;
+      drain ()
+  in
+  drain ()
 
 let iter t f =
   let pages = scan_range_pages t in
@@ -595,7 +661,9 @@ let check_invariants ?(min_fill = 0.) t =
       follow (Buffer_pool.with_page t.pool pid Page.next)
     end
   in
-  follow (fst (descend t t.root None));
+  (match List.rev !leaf_list with
+   | leftmost :: _ -> follow leftmost
+   | [] -> ());
   if not (List.equal Int.equal (List.rev !chain) (List.rev !leaf_list)) then
     fail "leaf chain does not match tree walk";
   if List.length !leaf_list <> t.leaves then

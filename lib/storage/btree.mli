@@ -41,11 +41,13 @@ val delete : t -> key:bytes -> bool
 (** {2 Scans}
 
     Every scan pins each page once per visit: the descent pins one node
-    per level, then each pull of a page cursor pins the next leaf once
-    and copies out, inside that single [with_page] window, its cells up
-    to the scan's end.  The row cursors serve those copies from memory,
-    so a consumer's pace does not change which pages are read.  Each
-    descent level and each leaf visit counts one [btree.node_reads]. *)
+    per level and copies out the first leaf's qualifying cells inside
+    that leaf's own pin; each later pull of a page cursor pins the next
+    leaf once and copies out, inside that single [with_page] window, its
+    cells up to the scan's end.  The row cursors serve those copies from
+    memory, so a consumer's pace does not change which pages are read.
+    Each descent level and each later leaf visit counts one
+    [btree.node_reads]: a scan over [k] leaves costs [height + k - 1]. *)
 
 val scan_range_pages :
   ?lo:bytes -> ?hi:bytes -> t -> unit -> (bytes * bytes) array option
@@ -62,6 +64,30 @@ val scan_range : ?lo:bytes -> ?hi:bytes -> t -> unit -> (bytes * bytes) option
 
 val scan_prefix : t -> prefix:bytes -> unit -> (bytes * bytes) option
 (** {!scan_prefix_pages}, one entry per pull. *)
+
+(** {2 Forward reader}
+
+    A run that reads many ranges in roughly ascending key order — output
+    reconstruction, one [[in .. out]] range per result — keeps one
+    reader.  It remembers the last leaf it read and that leaf's first
+    and last key, so a range whose [lo] lies in that span starts there
+    with one pin instead of a descent from the root. *)
+
+type reader
+
+val reader : t -> reader
+(** A fresh reader with no leaf yet: its first range descends.  Owned
+    by one run; never share it across domains. *)
+
+val read_range : reader -> lo:bytes -> hi:bytes -> ((bytes * bytes) array -> unit) -> unit
+(** [read_range r ~lo ~hi f] calls [f] on the cells with
+    [lo <= key <= hi] of each leaf in turn, in key order (never with an
+    empty array).  The bound is inclusive in the strong sense: a cell
+    whose key equals [hi] ends the range and nothing after it is read,
+    so a one-key range on the last cell of a leaf pins only that leaf.
+    Otherwise the walk ends at the first key above [hi].  Costs [1]
+    [btree.node_reads] when [lo] lies in the span of the reader's last
+    leaf, else the tree's height, plus one per further leaf. *)
 
 val iter : t -> (bytes -> bytes -> unit) -> unit
 (** Every entry in key order, over the page walk. *)

@@ -144,6 +144,14 @@ let scan_in_range t ~lo ~hi =
   in
   fun () -> Option.map (fun (_, v) -> Xasr.decode v) (cursor ())
 
+type reader = Btree.reader
+
+let reader t = Btree.reader t.primary
+
+let read_range r ~lo ~hi f =
+  Btree.read_range r ~lo:(Xasr.primary_key lo) ~hi:(Xasr.primary_key hi)
+    (Array.iter (fun (_, v) -> f (Xasr.decode v)))
+
 let scan_all t =
   let cursor = Btree.scan_range t.primary in
   fun () -> Option.map (fun (_, v) -> Xasr.decode v) (cursor ())

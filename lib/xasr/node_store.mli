@@ -56,6 +56,17 @@ val root_tuple : t -> Xasr.tuple
 val scan_in_range : t -> lo:int -> hi:int -> unit -> Xasr.tuple option
 (** Clustered scan of tuples with [lo <= in <= hi], in document order. *)
 
+type reader
+(** A {!Xqdb_storage.Btree.reader} over the primary index: one per run. *)
+
+val reader : t -> reader
+
+val read_range : reader -> lo:int -> hi:int -> (Xasr.tuple -> unit) -> unit
+(** [read_range r ~lo ~hi f] calls [f] on each tuple with
+    [lo <= in <= hi], in document order, through the reader: a tuple
+    with [in = hi] ends the range (nothing after it is read), and a
+    range starting on the reader's last leaf pins no inner node. *)
+
 val scan_all : t -> unit -> Xasr.tuple option
 
 val scan_all_pages : t -> unit -> Xasr.tuple array option

@@ -66,11 +66,6 @@ let subtree store tuple =
        Xqdb_storage.Xqdb_error.corrupt "Reconstruct.subtree: expected one tree, got %d"
          (List.length forest))
 
-let subtree_by_in store nin =
-  match Node_store.fetch store nin with
-  | Some tuple -> subtree store tuple
-  | None -> raise Not_found
-
 let root_forest store =
   let root = Node_store.root_tuple store in
   (* Skip the root tuple itself: scan strictly inside its interval. *)
@@ -79,4 +74,35 @@ let root_forest store =
   in
   build cursor
 
-let document_string store = Xqdb_xml.Xml_print.forest_to_string (root_forest store)
+(* The streaming twin of [build]: the same stack discipline, but an
+   element is printed when it opens and closed when the first tuple past
+   its [out] arrives, so only the open [(label, out)] pairs are kept. *)
+let write_range reader buf ~lo ~hi =
+  let stack = ref [] in
+  let close label =
+    Buffer.add_string buf "</";
+    Buffer.add_string buf label;
+    Buffer.add_char buf '>'
+  in
+  let rec pop_until nin =
+    match !stack with
+    | (label, nout) :: rest when nout < nin ->
+      stack := rest;
+      close label;
+      pop_until nin
+    | _ :: _ | [] -> ()
+  in
+  Node_store.read_range reader ~lo ~hi (fun tuple ->
+      pop_until tuple.Xasr.nin;
+      match tuple.Xasr.ntype with
+      | Xasr.Root -> ()
+      | Xasr.Text -> Buffer.add_string buf (Xqdb_xml.Xml_print.escape_text tuple.Xasr.value)
+      | Xasr.Element ->
+        Buffer.add_char buf '<';
+        Buffer.add_string buf tuple.Xasr.value;
+        if tuple.Xasr.nout = tuple.Xasr.nin + 1 then Buffer.add_string buf "/>"
+        else begin
+          Buffer.add_char buf '>';
+          stack := (tuple.Xasr.value, tuple.Xasr.nout) :: !stack
+        end);
+  List.iter (fun (label, _) -> close label) !stack

@@ -34,6 +34,39 @@ let test_example2_everywhere () =
         (run_at config example2))
     Config.all_presets
 
+(* Constructor emptiness follows node production, not bytes written:
+   an empty text literal is a node, [()] and a childless path are not. *)
+let test_empty_constructors () =
+  let cases =
+    [ ({|<a>{ text { "" } }</a>|}, "<a></a>");
+      ("<a>{ () }</a>", "<a/>");
+      ("for $x in /r return <k>{ $x/text() }</k>", "<k/>") ]
+  in
+  List.iter
+    (fun config ->
+      let engine = Engine.load ~config "<r><s/></r>" in
+      List.iter
+        (fun (src, want) ->
+          let result = Engine.run_string engine src in
+          Alcotest.(check string) (config.Config.name ^ ": " ^ src) want result.Engine.output)
+        cases)
+    [Config.m1; Config.m2; Config.m3; Config.m4]
+
+(* The staged forms' [eval] is the parse of the streamed output. *)
+let test_eval_is_output () =
+  let forest = [W.Dblp_gen.generate (W.Dblp_gen.scaled 60)] in
+  List.iter
+    (fun config ->
+      let engine = Engine.load_forest ~config forest in
+      List.iter
+        (fun (name, src) ->
+          let query = Xqdb_xq.Xq_parser.parse src in
+          Alcotest.(check string) (config.Config.name ^ " " ^ name)
+            (Engine.run engine query).Engine.output
+            (Xqdb_xml.Xml_print.forest_to_string (Engine.eval engine query)))
+        (Xqdb_testbed.Queries.public_queries @ Xqdb_testbed.Queries.efficiency_queries))
+    [Config.m3; Config.m4]
+
 let test_presets () =
   Alcotest.(check int) "nine presets" 9 (List.length Config.all_presets);
   Alcotest.(check int) "five engines" 5 (List.length Config.figure7_engines);
@@ -651,6 +684,8 @@ let () =
   Alcotest.run "core"
     [ ( "milestones",
         [ Alcotest.test_case "example 2 everywhere" `Quick test_example2_everywhere;
+          Alcotest.test_case "empty constructors" `Quick test_empty_constructors;
+          Alcotest.test_case "eval parses the output" `Quick test_eval_is_output;
           Alcotest.test_case "presets" `Quick test_presets;
           Alcotest.test_case "config validation" `Quick test_config_validation ] );
       ( "equivalence",

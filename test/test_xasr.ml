@@ -192,15 +192,100 @@ let reconstruct_roundtrip =
       let store, _ = shred forest in
       Tree.equal_forest forest (X.Reconstruct.root_forest store))
 
+(* A node's serialization through [write_range]: its [in .. out - 1]
+   range. *)
+let written ?reader store nin =
+  let reader = match reader with Some r -> r | None -> X.Node_store.reader store in
+  let tuple = Option.get (X.Node_store.fetch store nin) in
+  let buf = Buffer.create 64 in
+  X.Reconstruct.write_range reader buf ~lo:nin ~hi:(tuple.Xasr.nout - 1);
+  Buffer.contents buf
+
 let test_reconstruct_subtree () =
   let store, _ = shred [figure2] in
   Alcotest.(check string) "subtree by in" "<authors><name>Ana</name><name>Bob</name></authors>"
-    (Xqdb_xml.Xml_print.to_string (X.Reconstruct.subtree_by_in store 3));
-  Alcotest.(check string) "text subtree" "Ana"
-    (Xqdb_xml.Xml_print.to_string (X.Reconstruct.subtree_by_in store 5));
-  (match X.Reconstruct.subtree_by_in store 1234 with
-   | _ -> Alcotest.fail "missing in should raise"
-   | exception Not_found -> ())
+    (written store 3);
+  Alcotest.(check string) "text subtree" "Ana" (written store 5);
+  let empty, _ = shred [Tree.Elem ("r", [Tree.Elem ("e", []); Tree.Text "a<&>b"])] in
+  Alcotest.(check string) "empty element" "<e/>" (written empty 3);
+  Alcotest.(check string) "escaped text" "<r><e/>a&lt;&amp;&gt;b</r>" (written empty 2)
+
+(* Every node of a document written through ONE shared reader equals
+   the tree path's serialization — in document order, in reverse and in
+   a seeded shuffle, so the reader's leaf hint is exercised on ranges
+   that move backwards and cross leaf edges. *)
+let test_write_range_agrees () =
+  let check name doc =
+    let store, _ = shred [doc] in
+    let tuples =
+      let next = X.Node_store.scan_all store in
+      let rec go acc = match next () with None -> List.rev acc | Some t -> go (t :: acc) in
+      go []
+    in
+    let root = X.Node_store.root_tuple store in
+    let nodes = List.filter (fun t -> t.Xasr.ntype <> Xasr.Root) tuples in
+    let expected =
+      List.map (fun t -> (t.Xasr.nin, Xqdb_xml.Xml_print.to_string (X.Reconstruct.subtree store t))) nodes
+    in
+    let shuffled =
+      let rng = Random.State.make [| 23 |] in
+      List.map snd
+        (List.sort compare (List.map (fun e -> (Random.State.bits rng, e)) expected))
+    in
+    List.iter
+      (fun (order, visits) ->
+        let reader = X.Node_store.reader store in
+        List.iter
+          (fun (nin, want) ->
+            Alcotest.(check string) (Printf.sprintf "%s %s: node %d" name order nin) want
+              (written ~reader store nin))
+          visits;
+        let buf = Buffer.create 4096 in
+        X.Reconstruct.write_range reader buf ~lo:2 ~hi:(root.Xasr.nout - 1);
+        Alcotest.(check string) (Printf.sprintf "%s %s: document" name order)
+          (Xqdb_xml.Xml_print.forest_to_string (X.Reconstruct.root_forest store))
+          (Buffer.contents buf))
+      [ ("document order", expected); ("reverse", List.rev expected); ("shuffled", shuffled) ]
+  in
+  check "dblp 60" (Xqdb_workload.Dblp_gen.generate (Xqdb_workload.Dblp_gen.scaled 60));
+  check "treebank 5" (Xqdb_workload.Treebank_gen.generate (Xqdb_workload.Treebank_gen.scaled 5))
+
+(* The one-tuple trap: a text node on the last cell of its leaf is the
+   range [in .. in], and a cell whose key equals the bound ends the walk
+   — writing it must not read the next leaf.  A fresh reader pays one
+   descent; a reader already on that leaf pays the leaf alone. *)
+let test_one_tuple_range () =
+  let store, _ =
+    shred [Xqdb_workload.Dblp_gen.generate (Xqdb_workload.Dblp_gen.scaled 60)]
+  in
+  let height = X.Node_store.primary_height store in
+  Alcotest.(check bool) "multi-level primary" true (height > 1);
+  let pages = X.Node_store.scan_all_pages store in
+  let rec find_leaf () =
+    match pages () with
+    | None -> Alcotest.fail "no leaf ends in a text node"
+    | Some tuples ->
+      let last = tuples.(Array.length tuples - 1) in
+      if last.Xasr.ntype = Xasr.Text && Option.is_some (pages ()) then (tuples.(0), last)
+      else find_leaf ()
+  in
+  let first, text = find_leaf () in
+  let node_reads f =
+    let s = S.Metrics.scope () in
+    S.Metrics.with_scope s f;
+    S.Metrics.get (S.Metrics.scope_snapshot s) "btree.node_reads"
+  in
+  let reader = X.Node_store.reader store in
+  let buf = Buffer.create 64 in
+  let write () =
+    Buffer.clear buf;
+    X.Reconstruct.write_range reader buf ~lo:text.Xasr.nin ~hi:(text.Xasr.nout - 1)
+  in
+  Alcotest.(check int) "fresh reader: one descent" height (node_reads write);
+  Alcotest.(check string) "the text itself"
+    (Xqdb_xml.Xml_print.escape_text text.Xasr.value) (Buffer.contents buf);
+  X.Node_store.read_range reader ~lo:first.Xasr.nin ~hi:first.Xasr.nin ignore;
+  Alcotest.(check int) "reader on that leaf: one pin" 1 (node_reads write)
 
 (* --- statistics -------------------------------------------------------------- *)
 
@@ -400,7 +485,10 @@ let () =
           Alcotest.test_case "reopen" `Quick test_store_reopen ] );
       ( "reconstruction",
         [ prop reconstruct_roundtrip;
-          Alcotest.test_case "subtrees" `Quick test_reconstruct_subtree ] );
+          Alcotest.test_case "subtrees" `Quick test_reconstruct_subtree;
+          Alcotest.test_case "write_range agrees with the tree path" `Quick
+            test_write_range_agrees;
+          Alcotest.test_case "one-tuple range reads one leaf" `Quick test_one_tuple_range ] );
       ( "statistics",
         [ prop stats_match_document;
           Alcotest.test_case "serialization" `Quick test_stats_serialization ] );
