@@ -386,9 +386,12 @@ let rec peel_constraint (e : Parsetree.expression) =
   | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) -> peel_constraint e
   | _ -> e
 
-(* Top-level [let x = ref ...] / [let t = Hashtbl.create ...] without a
-   discipline attribute on the binding.  Local refs are fine — they are
-   confined unless captured, and capture sites are what L8 bounds. *)
+(* Top-level [let x = ref ...] / [let t = Hashtbl.create ...] /
+   [let v = lazy ...] without a discipline attribute on the binding.  A
+   lazy value is mutated by whichever domain forces it first, and OCaml 5
+   raises [Lazy.Undefined] in a second domain forcing it meanwhile.
+   Local refs are fine — they are confined unless captured, and capture
+   sites are what L8 bounds. *)
 let shared_top_binding (vb : Parsetree.value_binding) =
   if has_discipline vb.pvb_attributes then None
   else
@@ -408,6 +411,8 @@ let shared_top_binding (vb : Parsetree.value_binding) =
       Some
         { s_loc = vb.pvb_pat.ppat_loc;
           s_what = Printf.sprintf "top-level Hashtbl `%s`" name }
+    | Pexp_lazy _ ->
+      Some { s_loc = vb.pvb_pat.ppat_loc; s_what = Printf.sprintf "top-level lazy `%s`" name }
     | _ -> None
 
 (* Mutable or Hashtbl-typed record fields, unless the field's type

@@ -11,7 +11,8 @@ val start : int
 
 val feed : int -> bytes -> int -> int -> int
 (** [feed acc buf pos len] folds [len] bytes of [buf] starting at [pos]
-    into the accumulator. *)
+    into the accumulator.
+    @raise Invalid_argument if [pos] and [len] do not name a slice of [buf]. *)
 
 val finish : int -> int
 (** Final xor; the value to store or compare. *)

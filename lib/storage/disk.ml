@@ -42,6 +42,7 @@ type fault =
 type t = {
   psize : int;
   backend : backend;
+  blank : bytes;  (* [blank_page psize], never written *)
   mutable count : int;
   mutable reads : int;
   mutable writes : int;
@@ -64,8 +65,9 @@ let label t =
   | Mem _ -> "<mem>"
   | File f -> f.path
 
-(* A fresh zeroed page, checksum already stamped: even a page that is
-   allocated and then read before any write verifies cleanly. *)
+(* A zeroed page, checksum already stamped, made once per disk: even a
+   page that is allocated and then read before any write verifies
+   cleanly.  [do_alloc] copies it into memory or writes it to the file. *)
 let blank_page psize =
   let page = Bytes.make psize '\000' in
   Page.stamp_checksum page;
@@ -105,8 +107,8 @@ let do_alloc t =
        Array.blit m.pages 0 bigger 0 (Array.length m.pages);
        m.pages <- bigger
      end;
-     m.pages.(id) <- blank_page t.psize
-   | File f -> pwrite f.fd (id * t.psize) (blank_page t.psize) t.psize);
+     m.pages.(id) <- Bytes.copy t.blank
+   | File f -> pwrite f.fd (id * t.psize) t.blank t.psize);
   id
 
 let with_catalog_page t =
@@ -126,6 +128,7 @@ let in_memory ?(page_size = 4096) () =
   with_catalog_page
     { psize = page_size;
       backend = Mem { pages = Array.make 8 Bytes.empty };
+      blank = blank_page page_size;
       count = 0;
       reads = 0;
       writes = 0;
@@ -138,6 +141,7 @@ let on_file ?(page_size = 4096) path =
   with_catalog_page
     { psize = page_size;
       backend = File { path; fd };
+      blank = blank_page page_size;
       count = 0;
       reads = 0;
       writes = 0;
@@ -156,6 +160,7 @@ let open_existing ?(page_size = 4096) path =
   end;
   { psize = page_size;
     backend = File { path; fd };
+    blank = blank_page page_size;
     count = size / page_size;
     reads = 0;
     writes = 0;

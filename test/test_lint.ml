@@ -199,6 +199,23 @@ let test_l7 () =
   Alcotest.(check int) "per-file check has no L7" 0
     (count ~rule:"L7" (L.Rules.check_file (src seeded_l7)))
 
+(* A top-level lazy is forced by whichever domain gets there first, so it
+   is shared state too; a lazy built inside a function is not judged. *)
+let seeded_l7_lazy =
+  String.concat "\n"
+    [ "let work () = Domain.spawn (fun () -> ())";
+      "let table = lazy (Array.make 256 0)";
+      "let typed : int array Lazy.t = lazy [||]";
+      "let reviewed = lazy 0 [@@domain_local]";
+      "let eager = Array.make 256 0";
+      "let per_call () = lazy 1" ]
+
+let test_l7_lazy () =
+  let fs = L.Rules.check_project [ src seeded_l7_lazy ] in
+  Alcotest.(check bool) "top-level lazy line 2" true (has ~rule:"L7" ~line:2 ~col:4 fs);
+  Alcotest.(check bool) "constrained lazy line 3" true (has ~rule:"L7" ~line:3 ~col:4 fs);
+  Alcotest.(check int) "annotated, eager and local values clean" 2 (count ~rule:"L7" fs)
+
 (* --- L8 ------------------------------------------------------------------ *)
 
 let test_l8 () =
@@ -336,6 +353,7 @@ let () =
           Alcotest.test_case "L5 counter-name hygiene" `Quick test_l5;
           Alcotest.test_case "L6 no stdout in lib/server" `Quick test_l6;
           Alcotest.test_case "L7 no unprotected shared state" `Quick test_l7;
+          Alcotest.test_case "L7 top-level lazy is shared state" `Quick test_l7_lazy;
           Alcotest.test_case "L8 sanctioned spawn sites only" `Quick test_l8;
           Alcotest.test_case "L9 no blocking under a latch" `Quick test_l9;
           Alcotest.test_case "unparseable source" `Quick test_parse_error ] );

@@ -50,6 +50,33 @@ let test_disk_file () =
   S.Disk.close disk;
   Sys.remove path
 
+(* A fresh page reads back as a zeroed page with its checksum stamped,
+   under both backends, also after another page has been written; and
+   allocating is no page I/O. *)
+let test_disk_alloc_blank () =
+  let check label disk =
+    let blank = Bytes.make 128 '\000' in
+    S.Page.stamp_checksum blank;
+    let written = S.Disk.alloc disk in
+    let untouched = S.Disk.alloc disk in
+    S.Disk.write_page disk written (Bytes.make 128 'x');
+    let before = S.Disk.counters disk in
+    let later = S.Disk.alloc disk in
+    let after = S.Disk.counters disk in
+    Alcotest.(check (pair int int)) (label ^ ": alloc is no page I/O")
+      (before.S.Disk.reads, before.S.Disk.writes) (after.S.Disk.reads, after.S.Disk.writes);
+    List.iter
+      (fun id ->
+        Alcotest.(check bytes) (Printf.sprintf "%s: page %d blank" label id) blank
+          (S.Disk.read_page disk id))
+      [ untouched; later ];
+    S.Disk.close disk
+  in
+  check "in-memory" (S.Disk.in_memory ~page_size:128 ());
+  let path = Filename.temp_file "xqdb_test" ".db" in
+  check "file-backed" (S.Disk.on_file ~page_size:128 path);
+  Sys.remove path
+
 (* --- buffer pool ---------------------------------------------------------- *)
 
 (* The counters [f] charged to a fresh Metrics scope. *)
@@ -1380,6 +1407,97 @@ let test_checksum_per_page_type () =
   in
   Alcotest.(check int) "checksum failures counted" 3 (failures_after - failures_before)
 
+(* --- CRC-32 ----------------------------------------------------------------- *)
+
+(* The definition, one bit at a time and independent of any table: the
+   reference [Crc32.feed] must agree with bit for bit. *)
+let crc_reference acc buf pos len =
+  let acc = ref acc in
+  for i = pos to pos + len - 1 do
+    acc := !acc lxor Char.code (Bytes.get buf i);
+    for _ = 0 to 7 do
+      acc := if !acc land 1 <> 0 then 0xEDB88320 lxor (!acc lsr 1) else !acc lsr 1
+    done
+  done;
+  !acc
+
+(* A fixed 4 KB page whose stamped checksum is a constant, so the test
+   also pins the on-disk format. *)
+let pattern_page () = Bytes.init 4096 (fun i -> Char.chr ((i * 7 + i / 256) land 0xFF))
+
+let test_crc32_known_answers () =
+  Alcotest.(check int) "check value" 0xCBF43926
+    (S.Crc32.digest (Bytes.of_string "123456789"));
+  Alcotest.(check int) "empty input" 0 (S.Crc32.digest Bytes.empty);
+  let page = pattern_page () in
+  S.Page.stamp_checksum page;
+  Alcotest.(check int) "4 KB pattern page" 0x209862B9 (S.Page.stored_checksum page);
+  Alcotest.(check bool) "pattern page verifies" true (S.Page.checksum_matches page)
+
+let test_crc32_bounds () =
+  let buf = Bytes.create 32 in
+  Alcotest.(check int) "empty slice at the end" S.Crc32.start
+    (S.Crc32.feed S.Crc32.start buf 32 0);
+  List.iter
+    (fun (pos, len) ->
+      match S.Crc32.feed S.Crc32.start buf pos len with
+      | _ -> Alcotest.failf "feed ~pos:%d ~len:%d should raise" pos len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 4); (0, -1); (0, 33); (30, 3); (33, 0); (max_int, 1); (1, max_int) ]
+
+let gen_buffer size = G.map Bytes.of_string (G.string_size size)
+
+(* Every start offset a word-sized step can be misaligned by, and every
+   length from empty through several 16-byte steps plus a tail. *)
+let crc32_short_slices =
+  QCheck2.Test.make ~name:"crc32: every pos 0..15, len 0..64" ~count:50
+    (gen_buffer (G.return 80))
+    (fun buf ->
+      for pos = 0 to 15 do
+        for len = 0 to 64 do
+          let acc = (S.Crc32.start lxor (pos * 0x01000193)) land 0xFFFFFFFF in
+          if S.Crc32.feed acc buf pos len <> crc_reference acc buf pos len then
+            QCheck2.Test.fail_reportf "pos %d len %d" pos len
+        done
+      done;
+      true)
+
+let crc32_random_slices =
+  QCheck2.Test.make ~name:"crc32: random buffers and slices" ~count:300
+    G.(triple (gen_buffer (int_bound 300)) nat nat)
+    (fun (buf, a, b) ->
+      let n = Bytes.length buf in
+      let pos = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
+      S.Crc32.feed S.Crc32.start buf pos len = crc_reference S.Crc32.start buf pos len)
+
+(* Full pages, checksummed whole and the way [Page.checksum] does it:
+   fed in two pieces around its CRC slot. *)
+let crc32_full_pages =
+  QCheck2.Test.make ~name:"crc32: full pages" ~count:30 (gen_buffer (G.return 4096))
+    (fun page ->
+      let whole = S.Crc32.finish (crc_reference S.Crc32.start page 0 4096) in
+      let around =
+        S.Crc32.finish
+          (crc_reference (crc_reference S.Crc32.start page 0 10) page 14 (4096 - 14))
+      in
+      S.Crc32.digest page = whole && S.Page.checksum page = around)
+
+(* Chained feeds split at arbitrary points equal one feed over the whole. *)
+let crc32_chained_feeds =
+  QCheck2.Test.make ~name:"crc32: chained feeds" ~count:200
+    G.(pair (gen_buffer (int_bound 600)) (list_size (int_bound 8) nat))
+    (fun (buf, cuts) ->
+      let n = Bytes.length buf in
+      let cuts = List.sort_uniq Int.compare (List.map (fun c -> c mod (n + 1)) cuts) in
+      let acc, last =
+        List.fold_left
+          (fun (acc, from) cut -> (S.Crc32.feed acc buf from (cut - from), cut))
+          (S.Crc32.start, 0) cuts
+      in
+      let chained = S.Crc32.feed acc buf last (n - last) in
+      chained = crc_reference S.Crc32.start buf 0 n)
+
 (* --- write-ahead log ------------------------------------------------------ *)
 
 let test_wal_append_replay () =
@@ -1669,7 +1787,9 @@ let () =
   Alcotest.run "storage"
     [ ( "disk",
         [ Alcotest.test_case "in-memory" `Quick test_disk_mem;
-          Alcotest.test_case "file-backed" `Quick test_disk_file ] );
+          Alcotest.test_case "file-backed" `Quick test_disk_file;
+          Alcotest.test_case "fresh pages are blank and verify" `Quick
+            test_disk_alloc_blank ] );
       ( "buffer pool",
         [ Alcotest.test_case "eviction and persistence" `Quick test_buffer_pool;
           Alcotest.test_case "all pinned" `Quick test_pool_all_pinned;
@@ -1694,7 +1814,13 @@ let () =
       ( "checksums",
         [ Alcotest.test_case "round trip and detection" `Quick test_checksum_roundtrip;
           Alcotest.test_case "catalog, btree and heap pages" `Quick
-            test_checksum_per_page_type ] );
+            test_checksum_per_page_type;
+          Alcotest.test_case "crc32 known answers" `Quick test_crc32_known_answers;
+          Alcotest.test_case "crc32 rejects out-of-range slices" `Quick test_crc32_bounds;
+          prop crc32_short_slices;
+          prop crc32_random_slices;
+          prop crc32_full_pages;
+          prop crc32_chained_feeds ] );
       ( "wal",
         [ Alcotest.test_case "append, sync, replay, checkpoint" `Quick
             test_wal_append_replay;
