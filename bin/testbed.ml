@@ -112,21 +112,9 @@ let crash_points =
           "Crash points checked per trial, spread evenly over the workload's \
            observed durability events (always including the first and last).")
 
-let crash_json_file =
-  Arg.(
-    value
-    & opt (some string) None
-    & info ["json"] ~docv:"FILE"
-        ~doc:"Write the sweep as a machine-readable JSON report to $(docv).")
-
-let crash_action seed count points json_file =
+let crash_action seed count points =
   let report = T.Differential.crash_sweep ~seed ~count ~points () in
   print_string (T.Differential.render_crash report);
-  (match json_file with
-   | Some file ->
-     T.Report.write_file file (T.Report.crash_json report);
-     Printf.printf "wrote %s\n" file
-   | None -> ());
   if not (T.Differential.crash_ok report) then exit 1
 
 let crash_cmd =
@@ -138,7 +126,7 @@ let crash_cmd =
           append, WAL sync — alternately torn mid-write), recover from the \
           durable state alone, and check catalog, index invariants and \
           cross-milestone query agreement after each recovery.")
-    Term.(const crash_action $ crash_seed $ crash_count $ crash_points $ crash_json_file)
+    Term.(const crash_action $ crash_seed $ crash_count $ crash_points)
 
 (* --- traffic: concurrent multi-session load generator --------------------- *)
 
@@ -153,23 +141,6 @@ let traffic_seed =
 
 let traffic_scale =
   Arg.(value & opt int 250 & info ["scale"] ~docv:"N" ~doc:"DBLP scale of the shared document.")
-
-let traffic_mode =
-  Arg.(
-    value
-    & opt (enum [("closed", `Closed); ("open", `Open)]) `Closed
-    & info ["mode"] ~docv:"MODE"
-        ~doc:
-          "$(b,closed): each session fires its next request on completion. \
-           $(b,open): requests fire on a fixed schedule (see $(b,--rate)), so \
-           latencies include client-visible queueing.")
-
-let traffic_rate =
-  Arg.(
-    value
-    & opt float 20.
-    & info ["rate"] ~docv:"R"
-        ~doc:"Open-loop request rate per session, in requests per second.")
 
 let traffic_max_page_ios =
   Arg.(
@@ -188,30 +159,10 @@ let traffic_max_seconds =
     & info ["max-seconds"] ~docv:"S"
         ~doc:"Per-request wall-clock cap every session admits under.")
 
-let traffic_json_file =
-  Arg.(
-    value
-    & opt (some string) None
-    & info ["json"] ~docv:"FILE"
-        ~doc:"Write the run as a machine-readable JSON report to $(docv).")
-
-let traffic_action sessions requests seed scale mode rate max_page_ios max_seconds
-    json_file =
-  let mode =
-    match mode with
-    | `Closed -> T.Traffic.Closed
-    | `Open -> T.Traffic.Open_rate rate
-  in
-  let report =
-    T.Traffic.run ~mode ?max_page_ios ?max_seconds ~sessions ~requests ~seed ~scale ()
-  in
+let traffic_action sessions requests seed scale max_page_ios max_seconds =
+  let report = T.Traffic.run ?max_page_ios ?max_seconds ~sessions ~requests ~seed ~scale () in
   print_string (T.Traffic.render report);
-  (match json_file with
-   | Some file ->
-     T.Report.write_file file (T.Report.traffic_json report);
-     Printf.printf "wrote %s\n" file
-   | None -> ());
-  if report.T.Traffic.total_mismatches <> 0 then exit 1
+  if report.T.Traffic.violations <> [] then exit 1
 
 let traffic_cmd =
   Cmd.v
@@ -221,11 +172,11 @@ let traffic_cmd =
           a seeded query mix through the full wire path over one shared \
           database, report throughput and p50/p95/p99 latency, and compare \
           every response against an unbudgeted single-session oracle. Exits \
-          nonzero on any mismatch.")
+          nonzero on any mismatch, untyped escape or page I/O charged to the \
+          wrong request.")
     Term.(
       const traffic_action $ traffic_sessions $ traffic_requests $ traffic_seed
-      $ traffic_scale $ traffic_mode $ traffic_rate $ traffic_max_page_ios
-      $ traffic_max_seconds $ traffic_json_file)
+      $ traffic_scale $ traffic_max_page_ios $ traffic_max_seconds)
 
 (* --- chaos: traffic under seeded fault injection --------------------------- *)
 
@@ -253,28 +204,9 @@ let chaos_profile =
            $(b,hard): half the faults persist per page and must surface as typed \
            I/O errors.")
 
-let chaos_max_p99_ratio =
-  Arg.(
-    value
-    & opt float 200.
-    & info ["max-p99-ratio"] ~docv:"R"
-        ~doc:"Tolerated chaos-leg p99 latency degradation over the baseline.")
-
-let chaos_json_file =
-  Arg.(
-    value
-    & opt (some string) None
-    & info ["json"] ~docv:"FILE"
-        ~doc:"Write the run as a machine-readable JSON report to $(docv).")
-
-let chaos_action sessions requests seed scale profile max_p99_ratio json_file =
-  let report = T.Chaos.run ~profile ~max_p99_ratio ~sessions ~requests ~seed ~scale () in
+let chaos_action sessions requests seed scale profile =
+  let report = T.Chaos.run ~profile ~sessions ~requests ~seed ~scale () in
   print_string (T.Chaos.render report);
-  (match json_file with
-   | Some file ->
-     T.Report.write_file file (T.Report.chaos_json report);
-     Printf.printf "wrote %s\n" file
-   | None -> ());
   if report.T.Chaos.violations <> [] then exit 1
 
 let chaos_cmd =
@@ -289,11 +221,11 @@ let chaos_cmd =
           Checks that no failure escapes untyped, no Ok payload diverges from \
           the fault-free oracle, transient faults stay invisible to clients, \
           hard faults surface as typed I/O errors, the storage retry actually \
-          runs, recovery reopens the scratch file, and p99 degradation stays \
-          bounded. Exits nonzero on any violation.")
+          runs, recovery reopens the scratch file, and chaos-leg p99 latency \
+          stays within 200x of the baseline's. Exits nonzero on any violation.")
     Term.(
       const chaos_action $ chaos_sessions $ chaos_requests $ chaos_seed $ chaos_scale
-      $ chaos_profile $ chaos_max_p99_ratio $ chaos_json_file)
+      $ chaos_profile)
 
 (* --- explain: golden EXPLAIN rendering ----------------------------------- *)
 
@@ -319,106 +251,6 @@ let explain_cmd =
           over the fixed Figure-2 document — the text the golden tests diff.")
     Term.(const explain_action $ explain_config)
 
-(* --- check-bench: CI's sanity check over harness reports ----------------- *)
-
-let bench_files =
-  Arg.(non_empty & pos_all string [] & info [] ~docv:"FILE" ~doc:"Report file to validate.")
-
-let check_bench_action files =
-  let failed = ref false in
-  List.iter
-    (fun file ->
-      match T.Report.validate_file file with
-      | Ok () -> Printf.printf "%s: ok\n" file
-      | Error msg ->
-        Printf.printf "%s: INVALID: %s\n" file msg;
-        failed := true)
-    files;
-  if !failed then exit 1
-
-let check_bench_cmd =
-  Cmd.v
-    (Cmd.info "check-bench"
-       ~doc:
-         "Validate the machine-readable reports of the crash, traffic and chaos \
-          harnesses: the current schema_version, one of those three kinds, and \
-          the kind's result checks and gate — a crash point within the observed \
-          events; for traffic and chaos, outcome counts that partition the \
-          requests, zero oracle mismatches and ordered latency percentiles; for \
-          chaos, zero untyped escapes.")
-    Term.(const check_bench_action $ bench_files)
-
-(* --- lint: the storage-safety static analyzer, testbed form ------------- *)
-
-let lint_root =
-  Arg.(
-    value & opt string "."
-    & info ["root"] ~docv:"DIR" ~doc:"Repository root to analyze (default: $(b,.)).")
-
-let lint_format =
-  Arg.(
-    value
-    & opt (enum [("text", `Text); ("json", `Json)]) `Text
-    & info ["format"] ~docv:"FMT" ~doc:"Output format: $(b,text) or $(b,json).")
-
-let lint_allow =
-  Arg.(
-    value
-    & opt string Xqdb_lint.Driver.default_allow_file
-    & info ["allow"] ~docv:"FILE"
-        ~doc:"Checked allowlist, relative to $(b,--root).")
-
-let lint_action root format allow =
-  let findings = Xqdb_lint.Driver.run ~allow ~root () in
-  (match format with
-  | `Text -> print_string (Xqdb_lint.Driver.render_text findings)
-  | `Json -> print_string (Xqdb_lint.Driver.render_json findings));
-  if findings <> [] then exit 1
-
-let lint_cmd =
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Run the storage-safety static analyzer (same rule registry as \
-          $(b,xqdb-lint)): L1 typed errors, L2 no catch-all handlers, L3 no \
-          polymorphic compare on storage data, L4 interfaces everywhere, L5 \
-          metric-name hygiene, L6 no server stdout, L7 no unprotected shared \
-          mutable state near domains, L8 sanctioned Domain.spawn sites only, \
-          L9 no blocking calls under a held latch.")
-    Term.(const lint_action $ lint_root $ lint_format $ lint_allow)
-
-(* --- check-lint: CI's sanity check over lint-report.json ------------------ *)
-
-let lint_report_files =
-  Arg.(
-    non_empty & pos_all string []
-    & info [] ~docv:"FILE" ~doc:"Lint JSON report to validate.")
-
-let check_lint_action files =
-  let failed = ref false in
-  List.iter
-    (fun file ->
-      match
-        Result.bind (T.Report.parse_file file)
-          (T.Report.validate_lint ~schema_version:Xqdb_lint.Driver.schema_version)
-      with
-      | Ok () -> Printf.printf "%s: ok\n" file
-      | Error msg ->
-        Printf.printf "%s: INVALID: %s\n" file msg;
-        failed := true)
-    files;
-  if !failed then exit 1
-
-let check_lint_cmd =
-  Cmd.v
-    (Cmd.info "check-lint"
-       ~doc:
-         "Validate machine-readable lint reports the way $(b,check-bench) \
-          validates benchmark reports: well-formed JSON, the current \
-          schema_version, tool stamp, count matching the findings array, and \
-          complete rule/file/line/col/message on every finding.")
-    Term.(const check_lint_action $ lint_report_files)
-
 let () =
   let info =
     Cmd.info "xqdb-testbed" ~doc:"Correctness and efficiency testbed for the XQ engines"
@@ -426,5 +258,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group ~default:run_term info
-          [ run_cmd; differential_cmd; crash_cmd; traffic_cmd; chaos_cmd;
-            explain_cmd; check_bench_cmd; lint_cmd; check_lint_cmd ]))
+          [ run_cmd; differential_cmd; crash_cmd; traffic_cmd; chaos_cmd; explain_cmd ]))

@@ -61,8 +61,8 @@ let render_text findings =
     | fs -> Printf.sprintf "xqdb-lint: %d finding(s)\n" (List.length fs));
   Buffer.contents b
 
-(* Bumped on every report change; the validator (`testbed check-lint`)
-   accepts only the current version. *)
+(* Bumped on every report change, so a reader of an archived report
+   knows which layout it holds. *)
 let schema_version = 2
 
 let render_json findings =

@@ -1,5 +1,5 @@
 (** Orchestration: find the sources, run the registry, apply the
-    allowlist, render.  Shared by [bin/lint.exe] and [testbed lint]. *)
+    allowlist, render.  The pipeline behind [bin/lint.exe]. *)
 
 val source_dirs : string list
 (** Directories scanned under the root: [lib] and [bin].  Tests are out
@@ -22,7 +22,7 @@ val render_text : Finding.t list -> string
     trailer. *)
 
 val schema_version : int
-(** The report version (2), the only one [testbed check-lint] accepts. *)
+(** The report version (2), stamped on every JSON report. *)
 
 val render_json : Finding.t list -> string
 (** [{"schema_version":…,"tool":"xqdb-lint","count":…,"findings":[…]}] —

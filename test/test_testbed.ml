@@ -6,6 +6,7 @@ module T = Xqdb_testbed
 module Config = Xqdb_core.Engine_config
 module Engine = Xqdb_core.Engine
 module Grading = T.Grading
+module Wire = Xqdb_server.Wire
 
 let test_queries_parse () =
   List.iter
@@ -177,65 +178,20 @@ let test_report_member () =
   Alcotest.(check bool) "absent" true (R.member "c" obj = None);
   Alcotest.(check bool) "not an object" true (R.member "a" (R.Arr []) = None)
 
-(* The lint report check-lint validates: what the lint driver renders
-   passes; malformed or foreign reports do not. *)
-let test_lint_report_validation () =
-  let module L = Xqdb_lint in
-  let validate text =
-    match R.parse text with
-    | Error _ -> false
-    | Ok json ->
-      Result.is_ok (R.validate_lint ~schema_version:L.Driver.schema_version json)
-  in
-  let f =
-    L.Finding.v ~rule:"L7" ~file:"lib/storage/seeded.ml" ~line:3 ~col:4
-      "top-level ref `shared`"
-  in
-  Alcotest.(check bool) "rendered report validates" true
-    (validate (L.Driver.render_json [ f ]));
-  Alcotest.(check bool) "empty report validates" true (validate (L.Driver.render_json []));
-  Alcotest.(check bool) "garbage rejected" false (validate "not json");
-  Alcotest.(check bool) "truncated rejected" false (validate {|{"schema_version": 2,|});
-  Alcotest.(check bool) "future schema rejected" false
-    (validate {|{"schema_version": 99, "tool": "xqdb-lint", "count": 0, "findings": []}|});
-  Alcotest.(check bool) "v1 rejected" false
-    (validate {|{"schema_version": 1, "tool": "xqdb-lint", "count": 0, "findings": []}|});
-  Alcotest.(check bool) "wrong tool rejected" false
-    (validate {|{"schema_version": 2, "tool": "other", "count": 0, "findings": []}|});
-  Alcotest.(check bool) "count mismatch rejected" false
-    (validate {|{"schema_version": 2, "tool": "xqdb-lint", "count": 2, "findings": []}|});
-  Alcotest.(check bool) "incomplete finding rejected" false
-    (validate
-       {|{"schema_version": 2, "tool": "xqdb-lint", "count": 1,
-          "findings": [{"rule":"L7","file":"x.ml","line":3}]}|})
-
-(* A written report re-reads and validates; only the current schema
-   version and the three harness kinds are accepted. *)
+(* A written file parses back to the value written — the benchmark's
+   result files go through this pair. *)
 let test_report_file_io () =
-  let report = R.crash_json (T.Differential.crash_sweep ~seed:9 ~count:1 ~points:2 ()) in
-  let file = Filename.temp_file "xqdb_bench" ".json" in
+  let value =
+    R.Obj [("workload", R.Str "serve-hot"); ("runs", R.Arr [R.Float 2.5; R.Int 3])]
+  in
+  let file = Filename.temp_file "xqdb_report" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
-      R.write_file file report;
-      match R.validate_file file with
-      | Ok () -> ()
-      | Error msg -> Alcotest.failf "written file invalid: %s" msg);
-  let with_field key value =
-    match report with
-    | R.Obj fields ->
-      R.Obj (List.map (fun (k, v) -> if String.equal k key then (k, value) else (k, v)) fields)
-    | v -> v
-  in
-  List.iter
-    (fun (what, mutated) ->
-      match R.validate_bench mutated with
-      | Ok () -> Alcotest.failf "%s accepted" what
-      | Error _ -> ())
-    [ ("previous schema_version", with_field "schema_version" (R.Int 10));
-      ("future schema_version", with_field "schema_version" (R.Int 999));
-      ("unknown kind", with_field "kind" (R.Str "fig7"));
-      ("envelope without a kind", R.Obj [("schema_version", R.Int 11)]) ]
+      R.write_file file value;
+      match R.parse_file file with
+      | Ok v -> Alcotest.check json "re-reads" value v
+      | Error msg -> Alcotest.failf "written file does not parse: %s" msg)
 
 (* --- structural indexes: the page-I/O payoff ------------------------------------ *)
 
@@ -301,31 +257,6 @@ let test_crash_sweep () =
   let again = T.Differential.crash_sweep ~seed:5 ~count:1 ~points:3 () in
   Alcotest.(check bool) "deterministic" true (report = again)
 
-let test_crash_report_json () =
-  let report = T.Differential.crash_sweep ~seed:9 ~count:1 ~points:2 () in
-  let j = R.crash_json report in
-  (match R.parse (R.to_string j) with
-   | Ok reparsed -> Alcotest.check json "survives the wire" j reparsed
-   | Error msg -> Alcotest.failf "crash report does not re-parse: %s" msg);
-  (match R.validate_bench j with
-   | Ok () -> ()
-   | Error msg -> Alcotest.failf "crash report invalid: %s" msg);
-  (* A crash point past the observed events is a malformed report. *)
-  let rec corrupt = function
-    | R.Obj fields ->
-      R.Obj
-        (List.map
-           (function
-             | ("point", R.Int _) -> ("point", R.Int 1_000_000)
-             | (k, v) -> (k, corrupt v))
-           fields)
-    | R.Arr xs -> R.Arr (List.map corrupt xs)
-    | v -> v
-  in
-  (match R.validate_bench (corrupt j) with
-   | Ok () -> Alcotest.fail "out-of-range crash point accepted"
-   | Error _ -> ())
-
 (* Page budgets under concurrency: a cap that censors some requests but
    not all.  Which ones trip depends on the interleaving (one shared
    pool), so the gate is per response — an Ok answer is the unbudgeted
@@ -333,61 +264,78 @@ let test_crash_report_json () =
    run's own check that Σ response page I/Os equals the disk's delta. *)
 let test_traffic_budgets () =
   let report = T.Traffic.run ~max_page_ios:3 ~sessions:2 ~requests:6 ~seed:7 ~scale:60 () in
-  let sum f = List.fold_left (fun acc s -> acc + f s) 0 report.T.Traffic.per_session in
-  Alcotest.(check int) "every response conforms" 0 report.T.Traffic.total_mismatches;
+  let total = report.T.Traffic.total in
+  Alcotest.(check (list string)) "every response conforms" [] report.T.Traffic.violations;
   Alcotest.(check bool) "some requests censored" true
-    (sum (fun s -> s.T.Traffic.budget_exceeded) > 0);
-  Alcotest.(check bool) "some requests answered" true (sum (fun s -> s.T.Traffic.ok) > 0)
+    (T.Traffic.count total Wire.Budget_exceeded > 0);
+  Alcotest.(check bool) "some requests answered" true (T.Traffic.count total Wire.Ok > 0)
 
-(* A small closed-loop traffic run: serializes, re-parses, validates —
-   and a report with a faked mismatch or disordered percentiles must be
-   rejected (the validator is the acceptance gate CI applies). *)
-let test_traffic_report () =
-  (* Lockdep no-false-positive gate: a full traffic run (sanitized in
-     CI's lockdep legs via XQDB_PIN_SANITIZE=1) must not record a single
-     latch-order violation. *)
+(* Lockdep no-false-positive gate: a full traffic run (sanitized in CI's
+   lockdep legs via XQDB_PIN_SANITIZE=1) must not record a single
+   latch-order violation, and passes its own verdict. *)
+let test_traffic_lockdep () =
   let order_violations = Xqdb_storage.Metrics.counter "latch.order_violations" in
   let violations_before = Xqdb_storage.Metrics.value order_violations in
   let report = T.Traffic.run ~sessions:2 ~requests:6 ~seed:7 ~scale:60 () in
   Alcotest.(check int) "no lock-order violations under traffic" 0
     (Xqdb_storage.Metrics.value order_violations - violations_before);
-  Alcotest.(check int) "no oracle mismatches" 0 report.T.Traffic.total_mismatches;
-  Alcotest.(check int) "all sessions reported" 2
-    (List.length report.T.Traffic.per_session);
-  List.iter
-    (fun (s : T.Traffic.session_report) ->
-      Alcotest.(check int) "outcomes partition the requests" s.T.Traffic.requests
-        (s.T.Traffic.ok + s.T.Traffic.budget_exceeded + s.T.Traffic.errors
-        + s.T.Traffic.io_errors + s.T.Traffic.bad_requests))
-    report.T.Traffic.per_session;
-  let j = R.traffic_json report in
-  (match R.parse (R.to_string j) with
-   | Ok reparsed -> Alcotest.check json "survives the wire" j reparsed
-   | Error msg -> Alcotest.failf "traffic report does not re-parse: %s" msg);
-  (match R.validate_bench j with
-   | Ok () -> ()
-   | Error msg -> Alcotest.failf "traffic report invalid: %s" msg);
-  let rec rewrite f = function
-    | R.Obj fields -> R.Obj (List.map (fun (k, v) -> (k, f k (rewrite f v))) fields)
-    | R.Arr xs -> R.Arr (List.map (rewrite f) xs)
-    | v -> v
-  in
-  let mismatched =
-    rewrite (fun k v -> if String.equal k "mismatches" then R.Int 1 else v) j
-  in
-  (match R.validate_bench mismatched with
-   | Ok () -> Alcotest.fail "oracle mismatches accepted"
-   | Error _ -> ());
-  let disordered =
-    rewrite (fun k v -> if String.equal k "p50_ms" then R.Float 1e9 else v) j
-  in
-  (match R.validate_bench disordered with
-   | Ok () -> Alcotest.fail "disordered percentiles accepted"
-   | Error _ -> ())
+  Alcotest.(check (list string)) "no violations" [] report.T.Traffic.violations;
+  Alcotest.(check int) "all sessions reported" 2 (Array.length report.T.Traffic.per_session)
+
+(* The driver's oracle check has teeth: the same session replayed
+   against an oracle with one payload changed diverges on exactly the
+   slots that ask that query. *)
+let test_tampered_oracle () =
+  let db = T.Traffic.load ~scale:60 () in
+  let oracle = T.Traffic.record_oracle db in
+  let sched = T.Traffic.schedule ~abuse:false ~seed:7 ~requests:6 0 in
+  let clean = T.Traffic.play_session ~oracle db sched in
+  Alcotest.(check (list string)) "true oracle: no violations" []
+    (T.Traffic.violations ~label:"session" clean);
+  let first = match sched.(0) with T.Traffic.Normal i -> i | _ -> assert false in
+  let text = snd (List.nth (T.Traffic.mix ()) first) in
+  let tampered = Hashtbl.copy oracle in
+  let status, payload = Hashtbl.find oracle text in
+  Hashtbl.replace tampered text (status, payload ^ "<tampered/>");
+  let o = T.Traffic.play_session ~oracle:tampered db sched in
+  let asks = Array.fold_left (fun n s -> if s = sched.(0) then n + 1 else n) 0 sched in
+  Alcotest.(check int) "every slot asking the query diverges" asks o.T.Traffic.mismatches;
+  Alcotest.(check (list string)) "one mismatch violation"
+    [Printf.sprintf "session: %d response(s) diverged from the oracle" asks]
+    (T.Traffic.violations ~label:"session" o)
+
+(* Abusive slots get their typed answers: a stale version byte and a
+   hostile frame one Bad_request each, a dead deadline a Timeout (the
+   oracle check counts any other answer as a mismatch); the status
+   counts partition the requests. *)
+let test_abusive_slots () =
+  let db = T.Traffic.load ~scale:60 () in
+  let oracle = T.Traffic.record_oracle db in
+  let seen = Array.make 3 0 in
+  for seed = 1 to 5 do
+    let sched = T.Traffic.schedule ~abuse:true ~seed ~requests:20 0 in
+    let o = T.Traffic.play_session ~oracle db sched in
+    let slots p = Array.fold_left (fun n s -> if p s then n + 1 else n) 0 sched in
+    let stale = slots (function T.Traffic.Stale_version _ -> true | _ -> false) in
+    let hostile = slots (function T.Traffic.Hostile _ -> true | _ -> false) in
+    let expired = slots (function T.Traffic.Expired _ -> true | _ -> false) in
+    seen.(0) <- seen.(0) + stale;
+    seen.(1) <- seen.(1) + hostile;
+    seen.(2) <- seen.(2) + expired;
+    let label = Printf.sprintf "seed %d" seed in
+    Alcotest.(check (list string)) (label ^ ": no violations") []
+      (T.Traffic.violations ~label o);
+    Alcotest.(check int) (label ^ ": stale and hostile frames get Bad_request")
+      (stale + hostile) (T.Traffic.count o Wire.Bad_request);
+    Alcotest.(check int) (label ^ ": dead deadlines get Timeout") expired
+      (T.Traffic.count o Wire.Timeout);
+    Alcotest.(check int) (label ^ ": counts partition the requests") 20
+      (Array.fold_left ( + ) o.T.Traffic.untyped o.T.Traffic.counts)
+  done;
+  Alcotest.(check bool) "every abusive slot kind drawn" true (Array.for_all (fun n -> n > 0) seen)
 
 (* A small chaos run end to end: both profiles must come back with no
-   violations, and the report must serialize, re-parse and validate —
-   with the validator rejecting faked untyped escapes. *)
+   violations. *)
 let test_chaos_report () =
   let report = T.Chaos.run ~sessions:1 ~requests:12 ~seed:11 ~scale:60 () in
   (match report.T.Chaos.violations with
@@ -396,29 +344,12 @@ let test_chaos_report () =
   Alcotest.(check bool) "transient faults fired" true (report.T.Chaos.faults_injected > 0);
   Alcotest.(check bool) "retries ran" true (report.T.Chaos.retry_attempts > 0);
   Alcotest.(check bool) "wal retries ran" true (report.T.Chaos.wal_retry_attempts > 0);
-  let j = R.chaos_json report in
-  (match R.parse (R.to_string j) with
-   | Ok reparsed -> Alcotest.check json "survives the wire" j reparsed
-   | Error msg -> Alcotest.failf "chaos report does not re-parse: %s" msg);
-  (match R.validate_bench j with
-   | Ok () -> ()
-   | Error msg -> Alcotest.failf "chaos report invalid: %s" msg);
-  let rec rewrite f = function
-    | R.Obj fields -> R.Obj (List.map (fun (k, v) -> (k, f k (rewrite f v))) fields)
-    | R.Arr xs -> R.Arr (List.map (rewrite f) xs)
-    | v -> v
-  in
-  let escaped =
-    rewrite (fun k v -> if String.equal k "untyped" then R.Int 1 else v) j
-  in
-  (match R.validate_bench escaped with
-   | Ok () -> Alcotest.fail "untyped escapes accepted"
-   | Error _ -> ());
   let hard = T.Chaos.run ~profile:T.Chaos.Hard ~sessions:1 ~requests:12 ~seed:11 ~scale:60 () in
   (match hard.T.Chaos.violations with
    | [] -> ()
    | vs -> Alcotest.failf "hard chaos run violated: %s" (String.concat "; " vs));
-  Alcotest.(check bool) "hard faults surfaced typed" true (hard.T.Chaos.chaos.T.Chaos.io_errors > 0)
+  Alcotest.(check bool) "hard faults surfaced typed" true
+    (T.Traffic.count hard.T.Chaos.chaos Wire.Io_error > 0)
 
 (* --- grading system (Section 3) ------------------------------------------------ *)
 
@@ -495,17 +426,17 @@ let () =
         [ Alcotest.test_case "json roundtrip" `Quick test_report_roundtrip;
           Alcotest.test_case "parser is strict" `Quick test_report_parser_strict;
           Alcotest.test_case "member" `Quick test_report_member;
-          Alcotest.test_case "file io" `Quick test_report_file_io;
-          Alcotest.test_case "lint report validation" `Quick test_lint_report_validation ] );
+          Alcotest.test_case "file io" `Quick test_report_file_io ] );
       ( "traffic",
-        [ Alcotest.test_case "report round trip and gates" `Slow test_traffic_report;
-          Alcotest.test_case "page budgets under concurrency" `Quick test_traffic_budgets ] );
+        [ Alcotest.test_case "lockdep-clean run passes" `Slow test_traffic_lockdep;
+          Alcotest.test_case "page budgets under concurrency" `Quick test_traffic_budgets;
+          Alcotest.test_case "tampered oracle is a mismatch" `Quick test_tampered_oracle;
+          Alcotest.test_case "abusive slots get typed answers" `Quick test_abusive_slots ] );
       ( "chaos",
         [ Alcotest.test_case "both profiles pass and gate" `Slow test_chaos_report ] );
       ( "crash sweep",
         [ Alcotest.test_case "first, middle and last event recover" `Quick
-            test_crash_sweep;
-          Alcotest.test_case "json report" `Quick test_crash_report_json ] );
+            test_crash_sweep ] );
       ( "grading (Section 3)",
         [ Alcotest.test_case "course grades" `Slow test_grading;
           Alcotest.test_case "submission report" `Slow test_submission_report ] ) ]
