@@ -3,6 +3,8 @@ module Config = Xqdb_core.Engine_config
 module Planner = Xqdb_optimizer.Planner
 module T = Xqdb_testbed
 module W = Xqdb_workload
+module S = Xqdb_storage
+module Database = Xqdb_core.Database
 
 (* The operator-profile golden: every operator's rows, batches and page
    I/Os over runs that together build every physical operator kind.
@@ -74,12 +76,94 @@ let deep () =
       print_cell ("deep / m4 / " ^ name) (Engine.load_forest ~config forest) text)
     T.Queries.deep_queries
 
+(* The load golden: what loading leaves on disk and in the log, and the
+   I/O it took.  A storage change that claims to leave every page byte
+   unchanged must keep this file identical.  Pool hits and latch counts
+   are left out: they fall when a redundant re-pin is dropped. *)
+let load_counters =
+  [ "pool.misses"; "pool.evictions"; "disk.reads"; "disk.writes"; "wal.appends";
+    "wal.syncs"; "btree.splits"; "btree.node_reads"; "btree.inserts" ]
+
+let print_load title ~counters disk =
+  let pages = S.Disk.page_count disk in
+  let digest =
+    Digest.string
+      (String.concat "" (List.init pages (fun id -> Bytes.to_string (S.Disk.read_page_raw disk id))))
+  in
+  Printf.printf "===== load / %s =====\npages %d  md5 %s\n" title pages (Digest.to_hex digest);
+  List.iter
+    (fun name -> Printf.printf "  %s %d\n" name (S.Metrics.get counters name))
+    load_counters
+
+(* The log's digest: every committed after-image, in LSN order.  The
+   automatic checkpoint truncates the log during the load, so the
+   durable log is read at every page write: a write-back always follows
+   the sync that logged it, so no group is missed. *)
+let digest_wal disk wal =
+  let buf = Buffer.create 4096 and seen = ref 0 and records = ref 0 in
+  let collect () =
+    ignore
+      (S.Wal.replay wal ~apply:(fun ~lsn ~page_id data ->
+           if lsn > !seen then begin
+             seen := lsn;
+             incr records;
+             Buffer.add_string buf (Printf.sprintf "%d %d " lsn page_id);
+             Buffer.add_bytes buf data
+           end))
+  in
+  S.Disk.set_injector disk
+    (Some
+       (fun op _ ->
+         (match op with
+          | S.Disk.Write -> collect ()
+          | S.Disk.Read | S.Disk.Alloc -> ());
+         S.Disk.No_fault));
+  fun () ->
+    S.Disk.set_injector disk None;
+    collect ();
+    Printf.sprintf "wal records %d  md5 %s\n" !records
+      (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let scoped f =
+  let scope = S.Metrics.scope () in
+  let r = S.Metrics.with_scope scope f in
+  (r, S.Metrics.scope_snapshot scope)
+
+(* The Figure-7 load (DBLP 400 into a 48-frame in-memory pool), and an
+   ingest-like one: DBLP 200 and Treebank 5 through a 64-frame pool,
+   write-ahead logged, then checkpointed. *)
+let load () =
+  let forest = [W.Dblp_gen.generate (W.Dblp_gen.scaled 400)] in
+  let config = { Config.m4 with Config.pool_capacity = 48 } in
+  let engine, counters = scoped (fun () -> Engine.load_forest ~config forest) in
+  let pool = Engine.pool engine in
+  S.Buffer_pool.flush_all pool;
+  print_load "fig7 dblp 400, 48 frames" ~counters (S.Buffer_pool.disk pool);
+  let docs =
+    [ ("dblp", W.Dblp_gen.generate (W.Dblp_gen.scaled 200));
+      ("treebank", W.Treebank_gen.generate (W.Treebank_gen.scaled 5)) ]
+  in
+  let disk = S.Disk.in_memory () in
+  let wal = S.Wal.in_memory () in
+  let wal_digest = digest_wal disk wal in
+  let config = { Config.m4 with Config.pool_capacity = 64 } in
+  let (), counters =
+    scoped (fun () ->
+        let db = Database.create_on ~config ~wal disk in
+        List.iter (fun (name, doc) -> ignore (Database.load_forest db ~name [doc])) docs;
+        Database.checkpoint db)
+  in
+  let wal_line = wal_digest () in
+  print_load "ingest dblp 200 + treebank 5, 64 frames, logged" ~counters disk;
+  print_string wal_line
+
 let () =
   match Sys.argv with
   | [| _; "profiles" |] ->
     fig7 ();
     example6 ();
     deep ()
+  | [| _; "load" |] -> load ()
   | [| _; name |] -> (
     match T.Explain_suite.render name with
     | Ok text -> print_string text
@@ -87,5 +171,5 @@ let () =
       prerr_endline msg;
       exit 1)
   | _ ->
-    prerr_endline "usage: gen_explain <m1|m2|m3|m4|structural|profiles>";
+    prerr_endline "usage: gen_explain <m1|m2|m3|m4|structural|profiles|load>";
     exit 1
