@@ -78,10 +78,6 @@ let leaf_cell_key cell =
   let klen = Page.get_u16 cell 0 in
   Bytes.sub cell 2 klen
 
-let leaf_cell_value cell =
-  let klen = Page.get_u16 cell 0 in
-  Bytes.sub cell (2 + klen) (Bytes.length cell - 2 - klen)
-
 let internal_cell ~child ~key =
   let cell = Bytes.create (4 + Bytes.length key) in
   Page.set_u32 cell 0 child;
@@ -91,59 +87,87 @@ let internal_cell ~child ~key =
 let internal_cell_child cell = Page.get_u32 cell 0
 let internal_cell_key cell = Bytes.sub cell 4 (Bytes.length cell - 4)
 
+(* --- cells read in place ------------------------------------------------ *)
+
+(* Slot [i]'s key compared with [key] inside the page, and its key,
+   value and child copied straight out of it. *)
+let compare_leaf_key page i key =
+  let off = Page.slot_off page i in
+  Page.compare_bytes page (off + 2) (Page.get_u16 page off) key
+
+let compare_internal_key page i key =
+  Page.compare_bytes page (Page.slot_off page i + 4) (Page.slot_len page i - 4) key
+
+let leaf_key page i =
+  let off = Page.slot_off page i in
+  Bytes.sub page (off + 2) (Page.get_u16 page off)
+
+let leaf_value page i =
+  let off = Page.slot_off page i in
+  let klen = Page.get_u16 page off in
+  Bytes.sub page (off + 2 + klen) (Page.slot_len page i - 2 - klen)
+
+let internal_key page i = Bytes.sub page (Page.slot_off page i + 4) (Page.slot_len page i - 4)
+let internal_child_at page i = Page.get_u32 page (Page.slot_off page i)
+
 (* --- searching within a node ----------------------------------------- *)
 
-(* Smallest slot whose key is >= [key]; also reports an exact hit. *)
-let leaf_lower_bound page key =
-  let n = Page.slot_count page in
-  let rec go lo hi =
-    (* invariant: keys below lo are < key, keys at/after hi are >= key *)
-    if lo >= hi then lo
-    else begin
-      let mid = (lo + hi) / 2 in
-      let k = leaf_cell_key (Page.read_slot page mid) in
-      if Bytes.compare k key < 0 then go (mid + 1) hi else go lo mid
-    end
-  in
-  let pos = go 0 n in
-  let exact =
-    pos < n && Bytes.equal (leaf_cell_key (Page.read_slot page pos)) key
-  in
-  (pos, exact)
+(* The binary searches are top-level functions taking the page and the
+   key as arguments: a local recursive [go] over them would allocate a
+   closure per search. *)
+
+(* Smallest slot in [lo, hi) whose key is >= [key]: keys below [lo] are
+   < key, keys at or after [hi] are >= key. *)
+let rec leaf_search page key lo hi =
+  if lo >= hi then lo
+  else begin
+    let mid = (lo + hi) / 2 in
+    if compare_leaf_key page mid key < 0 then leaf_search page key (mid + 1) hi
+    else leaf_search page key lo mid
+  end
+
+let leaf_lower_bound page key = leaf_search page key 0 (Page.slot_count page)
+let leaf_holds page pos key = pos < Page.slot_count page && compare_leaf_key page pos key = 0
+
+(* Smallest slot in [lo, hi) whose separator is > [key]: separators
+   below [lo] are <= key, at or after [hi] are > key. *)
+let rec internal_search page key lo hi =
+  if lo >= hi then lo
+  else begin
+    let mid = (lo + hi) / 2 in
+    if compare_internal_key page mid key <= 0 then internal_search page key (mid + 1) hi
+    else internal_search page key lo mid
+  end
+
+let internal_upper_bound page key = internal_search page key 0 (Page.slot_count page)
 
 (* Child to descend into for [key]: the child of the largest separator
    <= key, or the leftmost child. *)
 let internal_child page key =
-  let n = Page.slot_count page in
-  let rec go lo hi =
-    (* invariant: separators below lo are <= key, at/after hi are > key *)
-    if lo >= hi then lo
-    else begin
-      let mid = (lo + hi) / 2 in
-      let k = internal_cell_key (Page.read_slot page mid) in
-      if Bytes.compare k key <= 0 then go (mid + 1) hi else go lo mid
-    end
-  in
-  let pos = go 0 n in
-  if pos = 0 then Page.next page
-  else internal_cell_child (Page.read_slot page (pos - 1))
+  let pos = internal_upper_bound page key in
+  if pos = 0 then Page.next page else internal_child_at page (pos - 1)
 
 (* --- find ------------------------------------------------------------- *)
+
+type step =
+  | Found of bytes
+  | Missing
+  | Descend of int
 
 let rec find_from t pid key =
   Metrics.incr m_node_reads;
   let step =
     Buffer_pool.with_page t.pool pid (fun p ->
         if Page.flags p = kind_leaf then begin
-          let pos, exact = leaf_lower_bound p key in
-          if exact then `Found (leaf_cell_value (Page.read_slot p pos)) else `Missing
+          let pos = leaf_lower_bound p key in
+          if leaf_holds p pos key then Found (leaf_value p pos) else Missing
         end
-        else `Descend (internal_child p key))
+        else Descend (internal_child p key))
   in
   match step with
-  | `Found v -> Some v
-  | `Missing -> None
-  | `Descend child -> find_from t child key
+  | Found v -> Some v
+  | Missing -> None
+  | Descend child -> find_from t child key
 
 let find t ~key = find_from t t.root key
 
@@ -181,12 +205,19 @@ type split = {
   right : int;
 }
 
+(* A node pinned by a descent that trusts the tree's height must be the
+   kind that height says it is. *)
+let expect_kind p pid kind =
+  if Page.flags p <> kind then
+    raise (Xqdb_error.Corrupt (Printf.sprintf "Btree: page %d is not a node of kind %d" pid kind))
+
 (* Insert [cell] (with key [key]) into the leaf [pid]; on overflow split
    and return the separator and the new right page. *)
 let leaf_insert t pid ~key ~cell =
   Buffer_pool.with_page_mut t.pool pid (fun p ->
-      let pos, exact = leaf_lower_bound p key in
-      if exact then begin
+      expect_kind p pid kind_leaf;
+      let pos = leaf_lower_bound p key in
+      if leaf_holds p pos key then begin
         Page.remove_slot_at p pos;
         t.count <- t.count - 1
       end;
@@ -225,14 +256,7 @@ let internal_insert t pid split_info =
   Buffer_pool.with_page_mut t.pool pid (fun p ->
       let cell = internal_cell ~child:split_info.right ~key:split_info.sep in
       (* Position: keep separators sorted. *)
-      let n = Page.slot_count p in
-      let rec find_pos i =
-        if i >= n then i
-        else if Bytes.compare (internal_cell_key (Page.read_slot p i)) split_info.sep > 0
-        then i
-        else find_pos (i + 1)
-      in
-      let pos = find_pos 0 in
+      let pos = internal_upper_bound p split_info.sep in
       let need = Bytes.length cell + 4 in
       if Page.free_space p >= need then begin
         Page.insert_slot_at p pos cell;
@@ -262,16 +286,21 @@ let internal_insert t pid split_info =
         end
       end)
 
-let rec insert_rec t pid ~key ~cell =
+(* The child of internal node [pid] for [key], in one shared pin. *)
+let child_for t pid key =
+  Buffer_pool.with_page t.pool pid (fun p ->
+      expect_kind p pid kind_internal;
+      internal_child p key)
+
+(* [level] counts down from the tree's height to 1, the leaves: each
+   level is pinned once on the way down, the leaf exclusively. *)
+let rec insert_rec t pid level ~key ~cell =
   Metrics.incr m_node_reads;
-  let kind = Buffer_pool.with_page t.pool pid Page.flags in
-  if kind = kind_leaf then leaf_insert t pid ~key ~cell
-  else begin
-    let child = Buffer_pool.with_page t.pool pid (fun p -> internal_child p key) in
-    match insert_rec t child ~key ~cell with
+  if level = 1 then leaf_insert t pid ~key ~cell
+  else
+    match insert_rec t (child_for t pid key) (level - 1) ~key ~cell with
     | None -> None
     | Some split_info -> internal_insert t pid split_info
-  end
 
 let insert t ~key ~value =
   Metrics.incr m_inserts;
@@ -280,7 +309,7 @@ let insert t ~key ~value =
     invalid_arg
       (Printf.sprintf "Btree.insert: cell of %d bytes exceeds max %d" (Bytes.length cell)
          (max_cell_size t));
-  (match insert_rec t t.root ~key ~cell with
+  (match insert_rec t t.root t.height_ ~key ~cell with
    | None -> ()
    | Some { sep; right } ->
      (* Root split: grow the tree by one level. *)
@@ -295,23 +324,20 @@ let insert t ~key ~value =
 
 (* --- delete (lazy) ---------------------------------------------------- *)
 
-let rec delete_rec t pid key =
-  let kind = Buffer_pool.with_page t.pool pid Page.flags in
-  if kind = kind_leaf then
+let rec delete_rec t pid level key =
+  if level = 1 then
     Buffer_pool.with_page_mut t.pool pid (fun p ->
-        let pos, exact = leaf_lower_bound p key in
-        if exact then begin
+        expect_kind p pid kind_leaf;
+        let pos = leaf_lower_bound p key in
+        if leaf_holds p pos key then begin
           Page.remove_slot_at p pos;
           true
         end
         else false)
-  else begin
-    let child = Buffer_pool.with_page t.pool pid (fun p -> internal_child p key) in
-    delete_rec t child key
-  end
+  else delete_rec t (child_for t pid key) (level - 1) key
 
 let delete t ~key =
-  let removed = delete_rec t t.root key in
+  let removed = delete_rec t t.root t.height_ key in
   if removed then begin
     t.count <- t.count - 1;
     save_meta t
@@ -329,11 +355,10 @@ let take_cells p start ~stop ~upto =
   let rec take i acc =
     if i >= n then (acc, Page.next p)
     else begin
-      let cell = Page.read_slot p i in
-      let key = leaf_cell_key cell in
+      let key = leaf_key p i in
       if stop key then (acc, 0)
       else begin
-        let acc = (key, leaf_cell_value cell) :: acc in
+        let acc = (key, leaf_value p i) :: acc in
         if upto key then (acc, 0) else take (i + 1) acc
       end
     end
@@ -354,7 +379,7 @@ let descend t key ~window =
       Buffer_pool.with_page t.pool pid (fun p ->
           match (Page.flags p = kind_leaf, key) with
           | true, None -> `Leaf (window pid p 0)
-          | true, Some k -> `Leaf (window pid p (fst (leaf_lower_bound p k)))
+          | true, Some k -> `Leaf (window pid p (leaf_lower_bound p k))
           | false, None -> `Child (Page.next p)
           | false, Some k -> `Child (internal_child p k))
     in
@@ -453,8 +478,8 @@ let read_range r ~lo ~hi f =
     let n = Page.slot_count p in
     if pid <> r.leaf && n > 0 then begin
       r.leaf <- pid;
-      r.first_key <- leaf_cell_key (Page.read_slot p 0);
-      r.last_key <- leaf_cell_key (Page.read_slot p (n - 1))
+      r.first_key <- leaf_key p 0;
+      r.last_key <- leaf_key p (n - 1)
     end;
     take_cells p pos ~stop:(fun key -> Bytes.compare key hi > 0) ~upto:(Bytes.equal hi)
   in
@@ -463,7 +488,7 @@ let read_range r ~lo ~hi f =
     then begin
       let leaf = r.leaf in
       Metrics.incr m_node_reads;
-      Buffer_pool.with_page t.pool leaf (fun p -> window leaf p (fst (leaf_lower_bound p lo)))
+      Buffer_pool.with_page t.pool leaf (fun p -> window leaf p (leaf_lower_bound p lo))
     end
     else descend t (Some lo) ~window
   in
@@ -608,7 +633,7 @@ let check_invariants ?(min_fill = 0.) t =
           leaf_list := pid :: !leaf_list;
           let prev = ref None in
           for i = 0 to n - 1 do
-            let key = leaf_cell_key (Page.read_slot p i) in
+            let key = leaf_key p i in
             check_bounds key;
             (match !prev with
              | Some k when Bytes.compare k key >= 0 -> fail "unsorted leaf %d" pid
@@ -618,7 +643,7 @@ let check_invariants ?(min_fill = 0.) t =
           (1, n)
         end
         else begin
-          let seps = Array.init n (fun i -> internal_cell_key (Page.read_slot p i)) in
+          let seps = Array.init n (internal_key p) in
           Array.iteri
             (fun i sep ->
               check_bounds sep;
@@ -627,7 +652,7 @@ let check_invariants ?(min_fill = 0.) t =
             seps;
           let children =
             Page.next p
-            :: List.init n (fun i -> internal_cell_child (Page.read_slot p i))
+            :: List.init n (internal_child_at p)
           in
           let bounds i =
             let l = if i = 0 then lo else Some seps.(i - 1) in

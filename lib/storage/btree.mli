@@ -97,6 +97,26 @@ val of_cursor : Buffer_pool.t -> (unit -> (bytes * bytes) option) -> t
     order; builds packed leaves bottom-up.
     @raise Invalid_argument if keys are not strictly increasing. *)
 
+(** {2 Node cells}
+
+    What a node's slots hold, and the comparisons its searches run on
+    them in place, without copying the key out.  Exposed for the
+    property tests. *)
+
+val leaf_cell : key:bytes -> value:bytes -> bytes
+(** A leaf slot: [klen:u16 | key | value]. *)
+
+val internal_cell : child:int -> key:bytes -> bytes
+(** An internal slot: [child:u32 | key], the child holding the keys
+    from [key] up to the next separator. *)
+
+val compare_leaf_key : bytes -> int -> bytes -> int
+(** [compare_leaf_key page i key] has the sign of [Bytes.compare k key],
+    [k] being the key of leaf slot [i]. *)
+
+val compare_internal_key : bytes -> int -> bytes -> int
+(** The same for the separator of internal slot [i]. *)
+
 val check_invariants : ?min_fill:float -> t -> unit
 (** Walk the whole tree verifying key order, separator correctness,
     balance, meta accounting (entry and leaf counts) and leaf chaining;

@@ -1,3 +1,8 @@
+(* Tables keyed by page or domain id.  [Int.hash] is [Hashtbl.hash], so
+   buckets, and the iteration order that orders a sync's log records,
+   are the generic table's; lookups compare keys with [Int.equal]. *)
+module Ints = Hashtbl.Make (Int)
+
 type frame = {
   page_id : int;
   buf : bytes;
@@ -34,6 +39,8 @@ type pin = {
   (* The domain that took the pin: balance checks are per domain, so one
      session's checkpoint does not see another session's in-flight pins. *)
   pin_domain : int;
+  (* That domain's cell in [domain_pins], so an unpin needs no lookup. *)
+  pin_count : int ref;
   (* Acquisition backtrace, kept raw: symbolization is deferred to the
      (rare) moment a violation is reported, so taking a pin stays cheap
      enough to run whole suites under the sanitizer. *)
@@ -41,6 +48,9 @@ type pin = {
   (* Whether this pin currently holds the frame latch ([use] sets and
      clears it); an unpin with the latch still held is a latch leak. *)
   mutable pin_latched : bool;
+  (* Whether this pin registered its domain's hold in [latch_holds]
+     ([use] sets it); releasing the pin drops that hold. *)
+  mutable pin_holds : bool;
   mutable released : bool;
 }
 [@@guarded_by lock]
@@ -60,10 +70,12 @@ type t = {
      callbacks overlap across domains; the mutex is never held while a
      callback runs or a latch is awaited. *)
   lock : Mutex.t;
-  frames : (int, frame) Hashtbl.t;  (* page id -> frame *)
+  frames : frame Ints.t;  (* page id -> frame *)
   (* Outstanding pins per domain id — the balance the sanitizer checks
-     at per-session quiescent points. *)
-  domain_pins : (int, int) Hashtbl.t;
+     at per-session quiescent points.  A domain's cell outlives its
+     pins, so pinning again finds it; cells at zero are dropped when a
+     new domain first pins. *)
+  domain_pins : int ref Ints.t;
   mutable head : frame option;  (* most recently used *)
   mutable tail : frame option;  (* least recently used *)
   mutable live : pin list;  (* outstanding pins, sanitize mode only *)
@@ -107,8 +119,8 @@ let create ?(capacity = 64) ?(sanitize = env_sanitize) ?(retry_policy = Retry.de
     sanitize;
     retry_policy;
     lock = Mutex.create ();
-    frames = Hashtbl.create (2 * capacity);
-    domain_pins = Hashtbl.create 8;
+    frames = Ints.create (2 * capacity);
+    domain_pins = Ints.create 8;
     head = None;
     tail = None;
     live = [];
@@ -120,30 +132,46 @@ let wal t = t.wal
 let capacity t = t.cap
 let sanitizing t = t.sanitize
 
-(* Every public entry point brackets its table work with this; helpers
-   below assume the mutex is already held and never re-take it.  Under
+(* Every public entry point brackets its table work with [locked] (or,
+   on the pin hot path, [lock]/[unlock] written out); helpers below
+   assume the mutex is already held and never re-take it.  Under
    the sanitizer the table mutex participates in lockdep: latch -> table
    edges are expected (nested page use runs table work under a held
    latch), but a table -> latch edge — waiting
    on a latch while holding the table mutex — would close a cycle and is
    exactly the protocol violation the checker exists to catch. *)
-let locked t f =
+let lock t =
   if t.sanitize then Lock_order.before_acquire ~cls:t.lockdep_table ~inst:(-1);
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.unlock t.lock;
-      if t.sanitize then Lock_order.after_release ~cls:t.lockdep_table ~inst:(-1))
-    f
+  Mutex.lock t.lock
+
+let unlock t =
+  Mutex.unlock t.lock;
+  if t.sanitize then Lock_order.after_release ~cls:t.lockdep_table ~inst:(-1)
+
+let locked t f =
+  lock t;
+  match f () with
+  | v ->
+    unlock t;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    unlock t;
+    Printexc.raise_with_backtrace e bt
 
 let domain_id () = (Domain.self () :> int)
 
 let domain_pin_count t d =
-  match Hashtbl.find_opt t.domain_pins d with Some n -> n | None -> 0
+  match Ints.find_opt t.domain_pins d with Some n -> !n | None -> 0
 
-let bump_domain_pins t d delta =
-  let n = domain_pin_count t d + delta in
-  if n = 0 then Hashtbl.remove t.domain_pins d else Hashtbl.replace t.domain_pins d n
+let domain_cell t d =
+  match Ints.find t.domain_pins d with
+  | cell -> cell
+  | exception Not_found ->
+    Ints.filter_map_inplace (fun _ n -> if !n = 0 then None else Some n) t.domain_pins;
+    let cell = ref 0 in
+    Ints.replace t.domain_pins d cell;
+    cell
 
 (* Transient disk faults (see Fault_disk) clear on retry; a fault that
    survives the whole backoff window propagates as Disk_error.  The
@@ -212,7 +240,7 @@ let write_back t frame =
            let last = Wal.last_lsn wal in
            let unlogged f = f.dirty && (f.logged_lsn = 0 || f.logged_lsn > last) in
            let log f = f.logged_lsn <- Wal.append wal ~page_id:f.page_id ~data:f.buf in
-           Hashtbl.iter
+           Ints.iter
              (fun _ f ->
                if f != frame && unlogged f && not (List.exists snd f.latch_holds) then log f)
              t.frames;
@@ -247,11 +275,11 @@ let evict_one t =
      dirty page is never dropped. *)
   write_back t victim;
   detach t victim;
-  Hashtbl.remove t.frames victim.page_id;
+  Ints.remove t.frames victim.page_id;
   Metrics.incr m_evictions
 
 let insert_frame t page_id buf dirty =
-  if Hashtbl.length t.frames >= t.cap then evict_one t;
+  if Ints.length t.frames >= t.cap then evict_one t;
   let frame =
     { page_id;
       buf;
@@ -264,7 +292,7 @@ let insert_frame t page_id buf dirty =
       lru_next = None;
       shadow = None }
   in
-  Hashtbl.replace t.frames page_id frame;
+  Ints.replace t.frames page_id frame;
   push_front t frame;
   (* Every page I/O a request charges enters here — the miss's read (or
      [alloc_page]'s new frame) and the write-back its eviction caused —
@@ -277,7 +305,7 @@ let insert_frame t page_id buf dirty =
   frame
 
 let find t page_id =
-  match Hashtbl.find_opt t.frames page_id with
+  match Ints.find_opt t.frames page_id with
   | Some frame ->
     Metrics.incr m_hits;
     touch t frame;
@@ -299,12 +327,16 @@ let no_trace = Printexc.get_callstack 0
 
 let pin_frame t frame =
   frame.pins <- frame.pins + 1;
-  bump_domain_pins t (domain_id ()) 1;
+  let d = domain_id () in
+  let count = domain_cell t d in
+  incr count;
   if not t.sanitize then
     { pin_frame = frame;
-      pin_domain = domain_id ();
+      pin_domain = d;
+      pin_count = count;
       pin_trace = no_trace;
       pin_latched = false;
+      pin_holds = false;
       released = false }
   else begin
     (match frame.shadow with
@@ -312,9 +344,11 @@ let pin_frame t frame =
      | None -> frame.shadow <- Some (Bytes.copy frame.buf));
     let p =
       { pin_frame = frame;
-        pin_domain = domain_id ();
+        pin_domain = d;
+        pin_count = count;
         pin_trace = Printexc.get_callstack 24;
         pin_latched = false;
+        pin_holds = false;
         released = false }
     in
     t.live <- p :: t.live;
@@ -345,7 +379,7 @@ let unpin_locked t p =
   p.released <- true;
   let frame = p.pin_frame in
   frame.pins <- frame.pins - 1;
-  bump_domain_pins t p.pin_domain (-1);
+  decr p.pin_count;
   if t.sanitize then begin
     t.live <- List.filter (fun q -> q != p) t.live;
     match frame.shadow with
@@ -370,14 +404,14 @@ let live_pins t =
         t.live)
 
 let pinned_pages_locked t =
-  Hashtbl.fold
+  Ints.fold
     (fun _ frame acc -> if frame.pins > 0 then (frame.page_id, frame.pins) :: acc else acc)
     t.frames []
 
 let pinned_pages t = locked t (fun () -> pinned_pages_locked t)
 
 let latched_pages_locked t =
-  Hashtbl.fold
+  Ints.fold
     (fun _ frame acc ->
       let h = Latch.holders frame.latch in
       if h <> 0 then (frame.page_id, h) :: acc else acc)
@@ -468,75 +502,112 @@ let assert_balanced ~where ~baseline t =
                 where (total - baseline.base_total) baseline.base_total total traces))
       end)
 
-let use t page_id ~mut f =
-  let d = domain_id () in
-  let p, acquire =
-    locked t (fun () ->
-        let frame = find t page_id in
-        (* The latch is not reentrant: a nested [use] of the same page by
-           the same domain rides on the hold already registered for it.
-           A shared hold cannot cover a nested mutation — upgrading
-           in place would self-deadlock, so refuse loudly instead. *)
-        let acquire =
-          match List.assoc_opt d frame.latch_holds with
-          | None ->
-            frame.latch_holds <- (d, mut) :: frame.latch_holds;
-            true
-          | Some exclusive ->
-            if mut && not exclusive then
-              raise
-                (Latch.Latch_error
-                   (Printf.sprintf
-                      "Buffer_pool: nested latch upgrade (shared -> exclusive) on \
-                       page %d within one domain"
-                      page_id));
-            false
-        in
-        let p = pin_frame t frame in
-        if mut then begin
-          frame.dirty <- true;
-          frame.logged_lsn <- 0
-        end;
-        (p, acquire))
+(* The mode of domain [d]'s registered hold on a frame's latch. *)
+let rec hold_mode d = function
+  | [] -> `Unheld
+  | (d', exclusive) :: rest ->
+    if d' <> d then hold_mode d rest else if exclusive then `Exclusive else `Shared
+
+let drop_hold d holds =
+  match holds with
+  | [(d', _)] when d' = d -> []
+  | _ -> List.filter (fun (d', _) -> d' <> d) holds
+
+(* [use]'s table work, under the mutex: find and pin the frame, and
+   register this domain's latch hold unless one already covers [mut]. *)
+let pin_for_use t page_id d ~mut =
+  let frame = find t page_id in
+  (* The latch is not reentrant: a nested [use] of the same page by
+     the same domain rides on the hold already registered for it.
+     A shared hold cannot cover a nested mutation — upgrading
+     in place would self-deadlock, so refuse loudly instead. *)
+  let holds =
+    match hold_mode d frame.latch_holds with
+    | `Unheld ->
+      frame.latch_holds <- (d, mut) :: frame.latch_holds;
+      true
+    | `Shared when mut ->
+      raise
+        (Latch.Latch_error
+           (Printf.sprintf
+              "Buffer_pool: nested latch upgrade (shared -> exclusive) on page %d within one \
+               domain"
+              page_id))
+    | `Shared | `Exclusive -> false
   in
+  let p = pin_frame t frame in
+  p.pin_holds <- holds;
+  if mut then begin
+    frame.dirty <- true;
+    frame.logged_lsn <- 0
+  end;
+  p
+
+(* Undo [pin_for_use], under the mutex. *)
+let unpin_use t p =
   let frame = p.pin_frame in
+  if p.pin_holds then frame.latch_holds <- drop_hold p.pin_domain frame.latch_holds;
+  unpin_locked t p
+
+(* Release the latch [use] took, then the pin. *)
+let release_use t p =
+  if p.pin_latched then begin
+    p.pin_latched <- false;
+    if t.sanitize then Lock_order.after_release ~cls:t.lockdep_page ~inst:p.pin_frame.page_id;
+    Latch.release p.pin_frame.latch
+  end;
+  lock t;
+  match unpin_use t p with
+  | () -> unlock t
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    unlock t;
+    Printexc.raise_with_backtrace e bt
+
+(* The pin bracket is written out with [match ... with exception]
+   rather than [Fun.protect] and closures over [locked], so a page
+   access allocates no more than its pin record. *)
+let use t page_id ~mut f =
+  lock t;
+  let p =
+    match pin_for_use t page_id (domain_id ()) ~mut with
+    | p -> p
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      unlock t;
+      Printexc.raise_with_backtrace e bt
+  in
+  unlock t;
   (* Latch outside the table mutex: waiting here must not block other
      domains' table traffic.  The pin already protects the frame from
      eviction, so the frame (and its latch) stay alive while we wait. *)
-  if acquire then begin
-    (match
-       if t.sanitize then Lock_order.before_acquire ~cls:t.lockdep_page ~inst:page_id
-     with
-     | () ->
-       if mut then Latch.acquire_exclusive frame.latch
-       else Latch.acquire_shared frame.latch;
-       p.pin_latched <- true
-     | exception e ->
-       (* The latch was never taken: roll back the hold registration and
-          the pin so the violation propagates from a consistent pool. *)
-       locked t (fun () ->
-           frame.latch_holds <- List.filter (fun (d', _) -> d' <> d) frame.latch_holds;
-           unpin_locked t p);
-       raise e)
+  if p.pin_holds then begin
+    match
+      if t.sanitize then Lock_order.before_acquire ~cls:t.lockdep_page ~inst:page_id
+    with
+    | () ->
+      if mut then Latch.acquire_exclusive p.pin_frame.latch
+      else Latch.acquire_shared p.pin_frame.latch;
+      p.pin_latched <- true
+    | exception e ->
+      (* The latch was never taken: roll back the hold registration and
+         the pin so the violation propagates from a consistent pool. *)
+      locked t (fun () -> unpin_use t p);
+      raise e
   end;
-  Fun.protect
-    ~finally:(fun () ->
-      if p.pin_latched then begin
-        p.pin_latched <- false;
-        if t.sanitize then Lock_order.after_release ~cls:t.lockdep_page ~inst:page_id;
-        Latch.release frame.latch
-      end;
-      locked t (fun () ->
-          if acquire then
-            frame.latch_holds <-
-              List.filter (fun (d', _) -> d' <> d) frame.latch_holds;
-          unpin_locked t p))
-    (fun () -> f (pin_buffer p))
+  match f (pin_buffer p) with
+  | v ->
+    release_use t p;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    release_use t p;
+    Printexc.raise_with_backtrace e bt
 
 let with_page t page_id f = use t page_id ~mut:false f
 let with_page_mut t page_id f = use t page_id ~mut:true f
 
-let flush_all t = locked t (fun () -> Hashtbl.iter (fun _ frame -> write_back t frame) t.frames)
+let flush_all t = locked t (fun () -> Ints.iter (fun _ frame -> write_back t frame) t.frames)
 
 let drop_all t =
   locked t (fun () ->
@@ -550,7 +621,7 @@ let drop_all t =
              (List.map (fun (id, pins) -> Printf.sprintf "%d (%d pins)" id pins) leaked)
          in
          raise (Pin_leak (Printf.sprintf "Buffer_pool.drop_all: leaked pins on pages [%s]" pages)));
-      Hashtbl.iter (fun _ frame -> write_back t frame) t.frames;
-      Hashtbl.reset t.frames;
+      Ints.iter (fun _ frame -> write_back t frame) t.frames;
+      Ints.reset t.frames;
       t.head <- None;
       t.tail <- None)

@@ -43,12 +43,10 @@ let slot_count page = get_u16 page off_nslots
 let set_slot_count page n = set_u16 page off_nslots n
 
 let slot_pos page i = Bytes.length page - 4 * (i + 1)
+let slot_off page i = get_u16 page (slot_pos page i)
+let slot_len page i = get_u16 page (slot_pos page i + 2)
 
-let slot page i =
-  let p = slot_pos page i in
-  (get_u16 page p, get_u16 page (p + 2))
-
-let set_slot page i (off, len) =
+let set_slot page i off len =
   let p = slot_pos page i in
   set_u16 page p off;
   set_u16 page (p + 2) len
@@ -59,9 +57,20 @@ let free_space page =
   let dir_start = Bytes.length page - 4 * nslots in
   dir_start - free_off - 4
 
-let read_slot page i =
-  let off, len = slot page i in
-  Bytes.sub page off len
+let read_slot page i = Bytes.sub page (slot_off page i) (slot_len page i)
+
+(* Unsigned bytes, then the shorter first on a common prefix: the order
+   of [Bytes.compare].  A loop over locals, not a local recursive
+   function, so a comparison allocates no closure. *)
+let compare_bytes page off len key =
+  let klen = Bytes.length key in
+  let common = if len < klen then len else klen in
+  let i = ref 0 in
+  while !i < common && Char.equal (Bytes.get page (off + !i)) (Bytes.get key !i) do
+    incr i
+  done;
+  if !i = common then Int.compare len klen
+  else Char.compare (Bytes.get page (off + !i)) (Bytes.get key !i)
 
 let add_slot page record =
   let len = Bytes.length record in
@@ -71,10 +80,12 @@ let add_slot page record =
   Bytes.blit record 0 page free_off len;
   let i = slot_count page in
   set_slot_count page (i + 1);
-  set_slot page i (free_off, len);
+  set_slot page i free_off len;
   set_u16 page off_free (free_off + len);
   i
 
+(* Slot [j] lies 4 bytes below slot [j - 1], so moving slots [i..n-1] one
+   index up or down is one blit of the directory's tail. *)
 let insert_slot_at page i record =
   let n = slot_count page in
   if i < 0 || i > n then invalid_arg "Page.insert_slot_at";
@@ -86,31 +97,23 @@ let insert_slot_at page i record =
   let free_off = get_u16 page off_free in
   Bytes.blit record 0 page free_off len;
   set_slot_count page (n + 1);
-  (* Shift slots i..n-1 up to i+1..n. *)
-  let rec shift j =
-    if j > i then begin
-      set_slot page j (slot page (j - 1));
-      shift (j - 1)
-    end
-  in
-  shift n;
-  set_slot page i (free_off, len);
+  let dir = slot_pos page (n - 1) in
+  Bytes.blit page dir page (dir - 4) (4 * (n - i));
+  set_slot page i free_off len;
   set_u16 page off_free (free_off + len)
 
 let remove_slot_at page i =
   let n = slot_count page in
   if i < 0 || i >= n then invalid_arg "Page.remove_slot_at";
-  for j = i to n - 2 do
-    set_slot page j (slot page (j + 1))
-  done;
+  let dir = slot_pos page (n - 1) in
+  Bytes.blit page dir page (dir + 4) (4 * (n - 1 - i));
   set_slot_count page (n - 1)
 
 let live_bytes page =
   let n = slot_count page in
   let records = ref 0 in
   for i = 0 to n - 1 do
-    let _, len = slot page i in
-    records := !records + len
+    records := !records + slot_len page i
   done;
   !records + 4 * n
 
@@ -122,7 +125,7 @@ let compact page =
     (fun i record ->
       let len = Bytes.length record in
       Bytes.blit record 0 page !free_off len;
-      set_slot page i (!free_off, len);
+      set_slot page i !free_off len;
       free_off := !free_off + len)
     records;
   set_u16 page off_free !free_off

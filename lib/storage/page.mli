@@ -42,6 +42,16 @@ val free_space : bytes -> int
 val read_slot : bytes -> int -> bytes
 (** [read_slot page i] copies record [i]. *)
 
+val slot_off : bytes -> int -> int
+val slot_len : bytes -> int -> int
+(** Where record [i] lies in the page, read without copying it. *)
+
+val compare_bytes : bytes -> int -> int -> bytes -> int
+(** [compare_bytes page off len key] compares the [len] bytes at [off]
+    in [page] with [key] in place, with the sign {!Bytes.compare} gives
+    on a copy of them: unsigned bytes, and the shorter first on a common
+    prefix. *)
+
 val add_slot : bytes -> bytes -> int
 (** [add_slot page record] appends a record, returning its slot index.
     @raise Page_full if the record does not fit; callers check
@@ -49,8 +59,8 @@ val add_slot : bytes -> bytes -> int
 
 val insert_slot_at : bytes -> int -> bytes -> unit
 (** [insert_slot_at page i record] inserts a record so that it becomes
-    slot [i], shifting slots [i..] up by one.  Used by B+-tree nodes to
-    keep slots in key order. *)
+    slot [i], shifting slots [i..] up by one (one move of the slot
+    directory).  Used by B+-tree nodes to keep slots in key order. *)
 
 (** {2 Checksums}
 

@@ -1782,6 +1782,206 @@ let test_crash_point_operations_fail_after_crash () =
   S.Crash_point.disarm cp;
   S.Disk.write_page disk 0 (Bytes.create 256)
 
+(* --- in-place node access ------------------------------------------------ *)
+
+(* Keys over the bytes where signed and unsigned order disagree, and
+   around them, behind shared prefixes: a comparison that reads signed
+   bytes, past the key or off its offset gets a sign wrong. *)
+let edge_bytes = "\000\001ab\127\128\254\255"
+
+let gen_edge_key =
+  G.(map2
+       (fun prefix tail -> Bytes.of_string (prefix ^ String.of_seq (List.to_seq tail)))
+       (oneofl [""; "\000"; "ab"; "\255\255"; "label\000"])
+       (list_size (int_bound 8) (map (String.get edge_bytes) (int_bound 7))))
+
+let sign c = Int.compare c 0
+
+(* Probes around each stored key: itself, a proper prefix, an extension. *)
+let probes_around key =
+  let n = Bytes.length key in
+  [key; Bytes.sub key 0 (n / 2); Bytes.cat key (Bytes.of_string "\000")]
+
+let in_place_compare =
+  QCheck2.Test.make ~name:"in-place key compares have the sign of Bytes.compare" ~count:300
+    G.(pair (list_size (int_range 1 12) gen_edge_key) gen_edge_key)
+    (fun (keys, probe) ->
+      let leaf = Bytes.make 1024 '\000' and internal = Bytes.make 1024 '\000' in
+      S.Page.init leaf;
+      S.Page.init internal;
+      List.iteri
+        (fun i key ->
+          (* Values and child ids of 0xff bytes, so reading past the key
+             or off its offset shows. *)
+          let value = Bytes.make (i mod 3) '\255' in
+          ignore (S.Page.add_slot leaf (S.Btree.leaf_cell ~key ~value));
+          ignore (S.Page.add_slot internal (S.Btree.internal_cell ~child:(i * 0x01010101) ~key)))
+        keys;
+      let probes = probe :: List.concat_map probes_around keys in
+      List.for_all
+        (fun probe ->
+          List.for_all Fun.id
+            (List.mapi
+               (fun i key ->
+                 let want = sign (Bytes.compare key probe) in
+                 sign (S.Btree.compare_leaf_key leaf i probe) = want
+                 && sign (S.Btree.compare_internal_key internal i probe) = want)
+               keys))
+        probes)
+
+(* The slot directory moved one slot at a time, as pages did before the
+   block move; the reference the block move must match byte for byte.
+   Slot [i] is the [u16 off | u16 len] pair [4 * (i + 1)] bytes before
+   the page's end, and the header keeps the free offset at byte 6. *)
+let ref_slot page i =
+  let p = Bytes.length page - (4 * (i + 1)) in
+  (S.Page.get_u16 page p, S.Page.get_u16 page (p + 2))
+
+let ref_set_slot page i (off, len) =
+  let p = Bytes.length page - (4 * (i + 1)) in
+  S.Page.set_u16 page p off;
+  S.Page.set_u16 page (p + 2) len
+
+let ref_insert_slot_at page i record =
+  let n = S.Page.slot_count page in
+  let free_off = S.Page.get_u16 page 6 and len = Bytes.length record in
+  Bytes.blit record 0 page free_off len;
+  S.Page.set_slot_count page (n + 1);
+  for j = n downto i + 1 do
+    ref_set_slot page j (ref_slot page (j - 1))
+  done;
+  ref_set_slot page i (free_off, len);
+  S.Page.set_u16 page 6 (free_off + len)
+
+let ref_remove_slot_at page i =
+  let n = S.Page.slot_count page in
+  for j = i to n - 2 do
+    ref_set_slot page j (ref_slot page (j + 1))
+  done;
+  S.Page.set_slot_count page (n - 1)
+
+type slot_op =
+  | Insert_at of int * int  (* position seed, record length *)
+  | Remove_at of int
+  | Compact
+
+let slot_op_gen =
+  G.(frequency
+       [ (6, map2 (fun pos len -> Insert_at (pos, len)) nat (int_bound 24));
+         (3, map (fun pos -> Remove_at pos) nat);
+         (1, return Compact) ])
+
+let slot_moves_match_reference =
+  QCheck2.Test.make ~name:"slot directory block moves match the per-slot loop" ~count:200
+    G.(pair (gen_buffer (return 512)) (list_size (int_range 1 120) slot_op_gen))
+    (fun (garbage, ops) ->
+      (* Both pages start from the same stale bytes: the free gap and
+         dead slots must come out identical too. *)
+      let page = Bytes.copy garbage in
+      S.Page.init page;
+      let reference = Bytes.copy page in
+      List.iteri
+        (fun k op ->
+          let n = S.Page.slot_count page in
+          (match op with
+           | Insert_at (pos, len) ->
+             if S.Page.free_space page >= len then begin
+               let record = Bytes.init len (fun j -> Char.chr ((j * 31 + k) land 0xFF)) in
+               S.Page.insert_slot_at page (pos mod (n + 1)) record;
+               ref_insert_slot_at reference (pos mod (n + 1)) record
+             end
+           | Remove_at pos ->
+             if n > 0 then begin
+               S.Page.remove_slot_at page (pos mod n);
+               ref_remove_slot_at reference (pos mod n)
+             end
+           | Compact ->
+             S.Page.compact page;
+             S.Page.compact reference);
+          if not (Bytes.equal page reference) then
+            QCheck2.Test.fail_reportf "pages differ after op %d (%d slots)" k
+              (S.Page.slot_count page))
+        ops;
+      true)
+
+let btree_edge_keys_model =
+  QCheck2.Test.make ~name:"btree over edge-byte keys agrees with Map model" ~count:60
+    G.(pair
+         (list_size (int_range 1 300) (pair gen_edge_key small_nat))
+         (list_size (int_bound 20) (pair gen_edge_key gen_edge_key)))
+    (fun (inserts, ranges) ->
+      let _, pool = fresh_pool ~page_size:256 () in
+      let bt = S.Btree.create pool in
+      let module M = Map.Make (Bytes) in
+      let model =
+        List.fold_left
+          (fun model (key, v) ->
+            let value = Bytes.of_string (string_of_int v) in
+            S.Btree.insert bt ~key ~value;
+            M.add key value model)
+          M.empty inserts
+      in
+      S.Btree.check_invariants bt;
+      let finds_agree key =
+        Option.equal Bytes.equal (S.Btree.find bt ~key) (M.find_opt key model)
+      in
+      let rec drain cursor acc =
+        match cursor () with
+        | None -> List.rev acc
+        | Some kv -> drain cursor (kv :: acc)
+      in
+      let range_agrees (lo, hi) =
+        let want =
+          List.filter
+            (fun (k, _) -> Bytes.compare lo k <= 0 && Bytes.compare k hi <= 0)
+            (M.bindings model)
+        in
+        List.equal
+          (fun (k1, v1) (k2, v2) -> Bytes.equal k1 k2 && Bytes.equal v1 v2)
+          want
+          (drain (S.Btree.scan_range ~lo ~hi bt) [])
+      in
+      S.Btree.entry_count bt = M.cardinal model
+      && List.for_all (fun (k, _) -> List.for_all finds_agree (probes_around k)) inserts
+      && List.for_all (fun (lo, hi) -> finds_agree lo && finds_agree hi) ranges
+      && List.for_all range_agrees ranges)
+
+(* The pin bracket releases everything on the way out of an exception:
+   one raised by the callback, and a page-I/O cap tripping inside the
+   frame insert of a miss.  Run on a plain and a sanitizing pool. *)
+exception Callback_failed of int
+
+let test_bracket_exception_safety () =
+  List.iter
+    (fun sanitize ->
+      let disk = S.Disk.in_memory ~page_size:512 () in
+      let pool = S.Buffer_pool.create ~capacity:4 ~sanitize disk in
+      let page = S.Buffer_pool.alloc_page pool in
+      let quiescent what =
+        let what = Printf.sprintf "%s (sanitize %b)" what sanitize in
+        Alcotest.(check (list (pair int int))) (what ^ ": no pins") []
+          (S.Buffer_pool.pinned_pages pool);
+        Alcotest.(check (list (pair int int))) (what ^ ": no latches") []
+          (S.Buffer_pool.latched_pages pool);
+        S.Buffer_pool.assert_unpinned ~where:what pool;
+        (* Another domain takes the table mutex and the page's latch. *)
+        let other =
+          Domain.spawn (fun () -> S.Buffer_pool.with_page_mut pool page S.Page.flags)
+        in
+        ignore (Domain.join other)
+      in
+      (match S.Buffer_pool.with_page_mut pool page (fun _ -> raise (Callback_failed 7)) with
+       | _ -> Alcotest.fail "callback exception swallowed"
+       | exception Callback_failed 7 -> ());
+      quiescent "callback raised";
+      S.Buffer_pool.drop_all pool;
+      let budget = S.Budget.create ~max_page_ios:0 () in
+      (match S.Budget.run budget (fun () -> S.Buffer_pool.with_page pool page S.Page.flags) with
+       | _ -> Alcotest.fail "page-I/O cap not enforced on a miss"
+       | exception S.Budget.Exhausted _ -> ());
+      quiescent "page-I/O cap tripped")
+    [false; true]
+
 let () =
   let prop = QCheck_alcotest.to_alcotest in
   Alcotest.run "storage"
@@ -1794,11 +1994,14 @@ let () =
         [ Alcotest.test_case "eviction and persistence" `Quick test_buffer_pool;
           Alcotest.test_case "all pinned" `Quick test_pool_all_pinned;
           Alcotest.test_case "exhaustion recovers" `Quick test_pool_exhausted_recovers;
-          Alcotest.test_case "LRU eviction order" `Quick test_pool_lru_order ] );
+          Alcotest.test_case "LRU eviction order" `Quick test_pool_lru_order;
+          Alcotest.test_case "pin bracket is exception-safe" `Quick
+            test_bracket_exception_safety ] );
       ( "pages",
         [ Alcotest.test_case "slots" `Quick test_page_slots;
           Alcotest.test_case "overflow" `Quick test_page_overflow;
-          Alcotest.test_case "overflow on ordered insert" `Quick test_page_overflow_insert_at ] );
+          Alcotest.test_case "overflow on ordered insert" `Quick test_page_overflow_insert_at;
+          prop slot_moves_match_reference ] );
       ( "metrics",
         [ Alcotest.test_case "registry and deltas" `Quick test_metrics;
           Alcotest.test_case "domain safety" `Quick test_metrics_domain_safety ] );
@@ -1854,6 +2057,8 @@ let () =
       ( "btree",
         [ prop btree_matches_model;
           prop btree_range_scan_model;
+          prop in_place_compare;
+          prop btree_edge_keys_model;
           Alcotest.test_case "row scans pin each leaf once" `Quick
             test_btree_row_scans_one_pin_per_leaf;
           prop btree_occupancy;
