@@ -149,25 +149,20 @@ let internal_child page key =
 
 (* --- find ------------------------------------------------------------- *)
 
-type step =
-  | Found of bytes
-  | Missing
-  | Descend of int
-
 let rec find_from t pid key =
   Metrics.incr m_node_reads;
   let step =
     Buffer_pool.with_page t.pool pid (fun p ->
         if Page.flags p = kind_leaf then begin
           let pos = leaf_lower_bound p key in
-          if leaf_holds p pos key then Found (leaf_value p pos) else Missing
+          if leaf_holds p pos key then `Found (leaf_value p pos) else `Missing
         end
-        else Descend (internal_child p key))
+        else `Descend (internal_child p key))
   in
   match step with
-  | Found v -> Some v
-  | Missing -> None
-  | Descend child -> find_from t child key
+  | `Found v -> Some v
+  | `Missing -> None
+  | `Descend child -> find_from t child key
 
 let find t ~key = find_from t t.root key
 
@@ -208,8 +203,7 @@ type split = {
 (* A node pinned by a descent that trusts the tree's height must be the
    kind that height says it is. *)
 let expect_kind p pid kind =
-  if Page.flags p <> kind then
-    raise (Xqdb_error.Corrupt (Printf.sprintf "Btree: page %d is not a node of kind %d" pid kind))
+  if Page.flags p <> kind then Xqdb_error.corrupt "Btree: page %d is not a node of kind %d" pid kind
 
 (* Insert [cell] (with key [key]) into the leaf [pid]; on overflow split
    and return the separator and the new right page. *)

@@ -1829,8 +1829,8 @@ let in_place_compare =
                keys))
         probes)
 
-(* The slot directory moved one slot at a time, as pages did before the
-   block move; the reference the block move must match byte for byte.
+(* The slot directory moved one slot at a time: the plain definition
+   the block move must match byte for byte.
    Slot [i] is the [u16 off | u16 len] pair [4 * (i + 1)] bytes before
    the page's end, and the header keeps the free offset at byte 6. *)
 let ref_slot page i =
