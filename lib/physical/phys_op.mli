@@ -86,15 +86,6 @@ val zero_stats : t -> unit
 (** Reset the accumulated per-operator stats of the whole tree, so a
     reused template reports per-execution (not cumulative) profiles. *)
 
-val close : ctx -> t -> unit
-(** Declare an operator tree done.  Operators hold no page pins between
-    [next_batch] calls (all page access is scoped through the pool), so
-    this releases nothing; under a sanitizing pool
-    ({!Xqdb_storage.Buffer_pool.sanitizing}) it asserts that invariant,
-    raising {!Xqdb_storage.Buffer_pool.Pin_leak} with the acquisition
-    backtraces if a pin escaped.  The engine closes every relfor site's
-    tree after draining it. *)
-
 (** {2 Profiles}
 
     Every operator measures itself: rows and batches produced, and the

@@ -1,4 +1,4 @@
-(* Tables keyed by page or domain id.  [Int.hash] is [Hashtbl.hash], so
+(* Frames keyed by page id.  [Int.hash] is [Hashtbl.hash], so
    buckets, and the iteration order that orders a sync's log records,
    are the generic table's; lookups compare keys with [Int.equal]. *)
 module Ints = Hashtbl.Make (Int)
@@ -10,13 +10,11 @@ type frame = {
      shared for [with_page], exclusive for [with_page_mut].  The pool's
      table mutex is never held while waiting on a latch. *)
   latch : Latch.t;
-  (* Latch holds taken via [use], as (domain, exclusive) pairs — guarded
-     by the table mutex.  The latch itself is not reentrant, so a nested
-     [use] of the same page by the same domain (the sanitizer tests do
-     this; btree never does) skips re-acquisition when its entry here
-     already covers the requested mode.  At most one entry per domain. *)
-  mutable latch_holds : (int * bool) list;
   mutable pins : int;
+  (* The pins among [pins] that [with_page_mut] took: a frame with
+     writers is mid-mutation, so a sync started by another frame's
+     write-back leaves it for a later group to log. *)
+  mutable writers : int;
   mutable dirty : bool;
   (* LSN of the WAL record holding this frame's current contents; 0 when
      the latest mutation is not yet logged.  Dirty frames with 0 here
@@ -34,27 +32,6 @@ type frame = {
 }
 [@@guarded_by lock]
 
-type pin = {
-  pin_frame : frame;
-  (* The domain that took the pin: balance checks are per domain, so one
-     session's checkpoint does not see another session's in-flight pins. *)
-  pin_domain : int;
-  (* That domain's cell in [domain_pins], so an unpin needs no lookup. *)
-  pin_count : int ref;
-  (* Acquisition backtrace, kept raw: symbolization is deferred to the
-     (rare) moment a violation is reported, so taking a pin stays cheap
-     enough to run whole suites under the sanitizer. *)
-  pin_trace : Printexc.raw_backtrace;
-  (* Whether this pin currently holds the frame latch ([use] sets and
-     clears it); an unpin with the latch still held is a latch leak. *)
-  mutable pin_latched : bool;
-  (* Whether this pin registered its domain's hold in [latch_holds]
-     ([use] sets it); releasing the pin drops that hold. *)
-  mutable pin_holds : bool;
-  mutable released : bool;
-}
-[@@guarded_by lock]
-
 type t = {
   disk : Disk.t;
   wal : Wal.t option;
@@ -64,21 +41,15 @@ type t = {
      under the table mutex, so the policy must keep the whole window in
      the low milliseconds (the default does). *)
   retry_policy : Retry.policy;
-  (* The table mutex: frames, LRU links, pin counts, the
-     sanitizer's live list, and all disk/WAL traffic happen under it.
+  (* The table mutex: frames, LRU links, pin counts and all disk/WAL
+     traffic happen under it.
      Frame *contents* are guarded by the per-frame latches instead, so
      callbacks overlap across domains; the mutex is never held while a
      callback runs or a latch is awaited. *)
   lock : Mutex.t;
   frames : frame Ints.t;  (* page id -> frame *)
-  (* Outstanding pins per domain id — the balance the sanitizer checks
-     at per-session quiescent points.  A domain's cell outlives its
-     pins, so pinning again finds it; cells at zero are dropped when a
-     new domain first pins. *)
-  domain_pins : int ref Ints.t;
   mutable head : frame option;  (* most recently used *)
   mutable tail : frame option;  (* least recently used *)
-  mutable live : pin list;  (* outstanding pins, sanitize mode only *)
   (* Lockdep class names for this pool's frame latches and table mutex —
      unique per pool so two pools' page ids never alias in the global
      order graph (see {!Lock_order}). *)
@@ -89,7 +60,6 @@ type t = {
 
 exception Pool_exhausted of string
 exception Sanitizer_violation of string
-exception Pin_leak of string
 
 let poison_byte = '\xde'
 
@@ -120,10 +90,8 @@ let create ?(capacity = 64) ?(sanitize = env_sanitize) ?(retry_policy = Retry.de
     retry_policy;
     lock = Mutex.create ();
     frames = Ints.create (2 * capacity);
-    domain_pins = Ints.create 8;
     head = None;
     tail = None;
-    live = [];
     lockdep_page = Printf.sprintf "pool%d.page" seq;
     lockdep_table = Printf.sprintf "pool%d.table" seq }
 
@@ -158,20 +126,6 @@ let locked t f =
     let bt = Printexc.get_raw_backtrace () in
     unlock t;
     Printexc.raise_with_backtrace e bt
-
-let domain_id () = (Domain.self () :> int)
-
-let domain_pin_count t d =
-  match Ints.find_opt t.domain_pins d with Some n -> !n | None -> 0
-
-let domain_cell t d =
-  match Ints.find t.domain_pins d with
-  | cell -> cell
-  | exception Not_found ->
-    Ints.filter_map_inplace (fun _ n -> if !n = 0 then None else Some n) t.domain_pins;
-    let cell = ref 0 in
-    Ints.replace t.domain_pins d cell;
-    cell
 
 (* Transient disk faults (see Fault_disk) clear on retry; a fault that
    survives the whole backoff window propagates as Disk_error.  The
@@ -224,7 +178,7 @@ let write_back t frame =
        since it was last logged — this frame and every other dirty,
        unlogged one — so at each sync the log reaches the state
        mutation-time logging would, at one record per page per sync.
-       Frames held exclusively are skipped: they are mid-mutation, and
+       Frames with writers are skipped: they are mid-mutation, and
        pinned, so they cannot be written back before a later group
        logs them. *)
     (match t.wal with
@@ -242,7 +196,7 @@ let write_back t frame =
            let log f = f.logged_lsn <- Wal.append wal ~page_id:f.page_id ~data:f.buf in
            Ints.iter
              (fun _ f ->
-               if f != frame && unlogged f && not (List.exists snd f.latch_holds) then log f)
+               if f != frame && unlogged f && f.writers = 0 then log f)
              t.frames;
            if unlogged frame then log frame;
            Wal.sync wal);
@@ -284,8 +238,8 @@ let insert_frame t page_id buf dirty =
     { page_id;
       buf;
       latch = Latch.create ();
-      latch_holds = [];
       pins = 0;
+      writers = 0;
       dirty;
       logged_lsn = 0;
       lru_prev = None;
@@ -323,86 +277,6 @@ let alloc_page t =
 
 (* --- pins and the sanitizer -------------------------------------------- *)
 
-let no_trace = Printexc.get_callstack 0
-
-let pin_frame t frame =
-  frame.pins <- frame.pins + 1;
-  let d = domain_id () in
-  let count = domain_cell t d in
-  incr count;
-  if not t.sanitize then
-    { pin_frame = frame;
-      pin_domain = d;
-      pin_count = count;
-      pin_trace = no_trace;
-      pin_latched = false;
-      pin_holds = false;
-      released = false }
-  else begin
-    (match frame.shadow with
-     | Some _ -> ()
-     | None -> frame.shadow <- Some (Bytes.copy frame.buf));
-    let p =
-      { pin_frame = frame;
-        pin_domain = d;
-        pin_count = count;
-        pin_trace = Printexc.get_callstack 24;
-        pin_latched = false;
-        pin_holds = false;
-        released = false }
-    in
-    t.live <- p :: t.live;
-    p
-  end
-
-let pin t page_id = locked t (fun () -> pin_frame t (find t page_id))
-
-let pin_buffer p =
-  match p.pin_frame.shadow with
-  | Some s -> s
-  | None -> p.pin_frame.buf
-
-(* Assumes the table mutex is held. *)
-let unpin_locked t p =
-  if t.sanitize && p.released then
-    raise
-      (Sanitizer_violation
-         (Printf.sprintf "double unpin of page %d; pin acquired at:\n%s"
-            p.pin_frame.page_id
-            (Printexc.raw_backtrace_to_string p.pin_trace)));
-  if t.sanitize && p.pin_latched then
-    raise
-      (Sanitizer_violation
-         (Printf.sprintf "unpin of page %d while its frame latch is still held; pin acquired at:\n%s"
-            p.pin_frame.page_id
-            (Printexc.raw_backtrace_to_string p.pin_trace)));
-  p.released <- true;
-  let frame = p.pin_frame in
-  frame.pins <- frame.pins - 1;
-  decr p.pin_count;
-  if t.sanitize then begin
-    t.live <- List.filter (fun q -> q != p) t.live;
-    match frame.shadow with
-    | None -> ()
-    | Some s ->
-      (* Commit the shadow's contents, and on the last unpin poison it:
-         any callback that retained the buffer past its pin window now
-         reads 0xde bytes instead of silently-stale page data. *)
-      Bytes.blit s 0 frame.buf 0 (Bytes.length s);
-      if frame.pins = 0 then begin
-        Bytes.fill s 0 (Bytes.length s) poison_byte;
-        frame.shadow <- None
-      end
-  end
-
-let unpin t p = locked t (fun () -> unpin_locked t p)
-
-let live_pins t =
-  locked t (fun () ->
-      List.map
-        (fun p -> (p.pin_frame.page_id, Printexc.raw_backtrace_to_string p.pin_trace))
-        t.live)
-
 let pinned_pages_locked t =
   Ints.fold
     (fun _ frame acc -> if frame.pins > 0 then (frame.page_id, frame.pins) :: acc else acc)
@@ -410,168 +284,65 @@ let pinned_pages_locked t =
 
 let pinned_pages t = locked t (fun () -> pinned_pages_locked t)
 
-let latched_pages_locked t =
-  Ints.fold
-    (fun _ frame acc ->
-      let h = Latch.holders frame.latch in
-      if h <> 0 then (frame.page_id, h) :: acc else acc)
-    t.frames []
-
-let latched_pages t = locked t (fun () -> latched_pages_locked t)
-
-(* The leak report for [where]: the pins (and held latches) attributable
-   to the calling domain.  Assumes the mutex is held. *)
-let domain_leak_report ~where t d =
-  let mine = List.filter (fun p -> p.pin_domain = d) t.live in
-  let pages =
-    if mine <> [] then
-      String.concat ", "
-        (List.map (fun p -> string_of_int p.pin_frame.page_id) mine)
-    else
-      String.concat ", "
-        (List.map (fun (id, pins) -> Printf.sprintf "%d (%d pins)" id pins)
-           (pinned_pages_locked t))
-  in
-  let traces =
-    String.concat ""
-      (List.map
-         (fun p ->
-           Printf.sprintf "\npage %d pinned at:\n%s" p.pin_frame.page_id
-             (Printexc.raw_backtrace_to_string p.pin_trace))
-         mine)
-  in
-  Printf.sprintf "%s: leaked pins on pages [%s]%s" where pages traces
-
-(* Per-domain: a session's checkpoint must not trip over another
-   session's in-flight pins, so the balance checked here is the calling
-   domain's outstanding count, not the global one. *)
-let assert_unpinned ~where t =
+let latched_pages t =
   locked t (fun () ->
-      let d = domain_id () in
-      if domain_pin_count t d > 0 then raise (Pin_leak (domain_leak_report ~where t d));
-      if t.sanitize then
-        match latched_pages_locked t with
-        | [] -> ()
-        | leaked ->
-          let held = List.filter (fun p -> p.pin_latched && p.pin_domain = d) t.live in
-          if held <> [] then
-            raise
-              (Sanitizer_violation
-                 (Printf.sprintf "%s: frame latches still held on pages [%s]" where
-                    (String.concat ", "
-                       (List.map (fun (id, h) -> Printf.sprintf "%d (%d)" id h) leaked)))));
-  (* Outside [locked]: the table mutex itself is lockdep-tracked, so
-     checking inside the bracket would report our own bracket as held. *)
-  if t.sanitize then Lock_order.assert_none_held ~where
+      Ints.fold
+        (fun _ frame acc ->
+          let h = Latch.holders frame.latch in
+          if h <> 0 then (frame.page_id, h) :: acc else acc)
+        t.frames [])
 
-type pin_baseline = {
-  base_domain : int;  (* the domain that captured the baseline *)
-  base_total : int;  (* that domain's outstanding pins at capture time *)
-  base_live : pin list;  (* the tokens live then (sanitize mode; [] otherwise) *)
-}
-
-let pin_baseline t =
-  locked t (fun () ->
-      let d = domain_id () in
-      { base_domain = d; base_total = domain_pin_count t d; base_live = t.live })
-
-let assert_balanced ~where ~baseline t =
-  locked t (fun () ->
-      let d = baseline.base_domain in
-      let total = domain_pin_count t d in
-      if total > baseline.base_total then begin
-        let fresh =
-          List.filter
-            (fun p -> p.pin_domain = d && not (List.memq p baseline.base_live))
-            t.live
-        in
-        let traces =
-          if not t.sanitize then ""
-          else
-            String.concat ""
-              (List.map
-                 (fun p ->
-                   Printf.sprintf "\npage %d pinned at:\n%s" p.pin_frame.page_id
-                     (Printexc.raw_backtrace_to_string p.pin_trace))
-                 fresh)
-        in
-        raise
-          (Pin_leak
-             (Printf.sprintf
-                "%s: %d pin(s) acquired but never released (%d held before, %d now)%s"
-                where (total - baseline.base_total) baseline.base_total total traces))
-      end)
-
-(* The mode of domain [d]'s registered hold on a frame's latch. *)
-let rec hold_mode d = function
-  | [] -> `Unheld
-  | (d', exclusive) :: rest ->
-    if d' <> d then hold_mode d rest else if exclusive then `Exclusive else `Shared
-
-let drop_hold d holds =
-  match holds with
-  | [(d', _)] when d' = d -> []
-  | _ -> List.filter (fun (d', _) -> d' <> d) holds
-
-(* [use]'s table work, under the mutex: find and pin the frame, and
-   register this domain's latch hold unless one already covers [mut]. *)
-let pin_for_use t page_id d ~mut =
+(* [use]'s table work, under the mutex: find the frame and pin it.
+   Under the sanitizer the first pin makes the shadow that callbacks
+   work on. *)
+let pin t page_id ~mut =
   let frame = find t page_id in
-  (* The latch is not reentrant: a nested [use] of the same page by
-     the same domain rides on the hold already registered for it.
-     A shared hold cannot cover a nested mutation — upgrading
-     in place would self-deadlock, so refuse loudly instead. *)
-  let holds =
-    match hold_mode d frame.latch_holds with
-    | `Unheld ->
-      frame.latch_holds <- (d, mut) :: frame.latch_holds;
-      true
-    | `Shared when mut ->
-      raise
-        (Latch.Latch_error
-           (Printf.sprintf
-              "Buffer_pool: nested latch upgrade (shared -> exclusive) on page %d within one \
-               domain"
-              page_id))
-    | `Shared | `Exclusive -> false
-  in
-  let p = pin_frame t frame in
-  p.pin_holds <- holds;
+  frame.pins <- frame.pins + 1;
   if mut then begin
+    frame.writers <- frame.writers + 1;
     frame.dirty <- true;
     frame.logged_lsn <- 0
   end;
-  p
+  if t.sanitize then begin
+    match frame.shadow with
+    | Some _ -> ()
+    | None -> frame.shadow <- Some (Bytes.copy frame.buf)
+  end;
+  frame
 
-(* Undo [pin_for_use], under the mutex. *)
-let unpin_use t p =
-  let frame = p.pin_frame in
-  if p.pin_holds then frame.latch_holds <- drop_hold p.pin_domain frame.latch_holds;
-  unpin_locked t p
+(* Undo [pin], under the mutex. *)
+let unpin frame ~mut =
+  frame.pins <- frame.pins - 1;
+  if mut then frame.writers <- frame.writers - 1;
+  match frame.shadow with
+  | None -> ()
+  | Some s ->
+    (* Commit the shadow's contents, and on the last unpin poison it:
+       any callback that retained the buffer past its pin window now
+       reads 0xde bytes instead of silently-stale page data. *)
+    Bytes.blit s 0 frame.buf 0 (Bytes.length s);
+    if frame.pins = 0 then begin
+      Bytes.fill s 0 (Bytes.length s) poison_byte;
+      frame.shadow <- None
+    end
 
 (* Release the latch [use] took, then the pin. *)
-let release_use t p =
-  if p.pin_latched then begin
-    p.pin_latched <- false;
-    if t.sanitize then Lock_order.after_release ~cls:t.lockdep_page ~inst:p.pin_frame.page_id;
-    Latch.release p.pin_frame.latch
-  end;
+let release t frame ~mut =
+  if t.sanitize then Lock_order.after_release ~cls:t.lockdep_page ~inst:frame.page_id;
+  Latch.release frame.latch;
   lock t;
-  match unpin_use t p with
-  | () -> unlock t
-  | exception e ->
-    let bt = Printexc.get_raw_backtrace () in
-    unlock t;
-    Printexc.raise_with_backtrace e bt
+  unpin frame ~mut;
+  unlock t
 
-(* The pin bracket is written out with [match ... with exception]
-   rather than [Fun.protect] and closures over [locked], so a page
-   access allocates no more than its pin record. *)
+(* The one place a pin is taken and released, so pins balance on every
+   exit path.  The bracket is written out with [match ... with
+   exception] rather than [Fun.protect] and closures over [locked], so
+   a page access allocates nothing of its own. *)
 let use t page_id ~mut f =
   lock t;
-  let p =
-    match pin_for_use t page_id (domain_id ()) ~mut with
-    | p -> p
+  let frame =
+    match pin t page_id ~mut with
+    | frame -> frame
     | exception e ->
       let bt = Printexc.get_raw_backtrace () in
       unlock t;
@@ -580,28 +351,25 @@ let use t page_id ~mut f =
   unlock t;
   (* Latch outside the table mutex: waiting here must not block other
      domains' table traffic.  The pin already protects the frame from
-     eviction, so the frame (and its latch) stay alive while we wait. *)
-  if p.pin_holds then begin
-    match
-      if t.sanitize then Lock_order.before_acquire ~cls:t.lockdep_page ~inst:page_id
-    with
-    | () ->
-      if mut then Latch.acquire_exclusive p.pin_frame.latch
-      else Latch.acquire_shared p.pin_frame.latch;
-      p.pin_latched <- true
-    | exception e ->
-      (* The latch was never taken: roll back the hold registration and
-         the pin so the violation propagates from a consistent pool. *)
-      locked t (fun () -> unpin_use t p);
-      raise e
-  end;
-  match f (pin_buffer p) with
+     eviction, so the frame (and its latch) stay alive while we wait.
+     The latch is not reentrant: lockdep reports a nested use of a page
+     this domain already holds, before it self-deadlocks. *)
+  (match if t.sanitize then Lock_order.before_acquire ~cls:t.lockdep_page ~inst:page_id with
+   | () -> ()
+   | exception e ->
+     (* The latch was never taken: roll the pin back so the violation
+        propagates from a consistent pool. *)
+     let bt = Printexc.get_raw_backtrace () in
+     locked t (fun () -> unpin frame ~mut);
+     Printexc.raise_with_backtrace e bt);
+  if mut then Latch.acquire_exclusive frame.latch else Latch.acquire_shared frame.latch;
+  match f (match frame.shadow with Some s -> s | None -> frame.buf) with
   | v ->
-    release_use t p;
+    release t frame ~mut;
     v
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
-    release_use t p;
+    release t frame ~mut;
     Printexc.raise_with_backtrace e bt
 
 let with_page t page_id f = use t page_id ~mut:false f
@@ -611,16 +379,15 @@ let flush_all t = locked t (fun () -> Ints.iter (fun _ frame -> write_back t fra
 
 let drop_all t =
   locked t (fun () ->
-      (* Dropping frames with outstanding pins — anyone's, not just this
-         domain's — would invalidate live buffers. *)
+      (* Dropping frames with outstanding pins — anyone's — would
+         invalidate live buffers. *)
       (match pinned_pages_locked t with
        | [] -> ()
-       | leaked ->
-         let pages =
-           String.concat ", "
-             (List.map (fun (id, pins) -> Printf.sprintf "%d (%d pins)" id pins) leaked)
-         in
-         raise (Pin_leak (Printf.sprintf "Buffer_pool.drop_all: leaked pins on pages [%s]" pages)));
+       | pinned ->
+         invalid_arg
+           (Printf.sprintf "Buffer_pool.drop_all: pages [%s] are pinned"
+              (String.concat ", "
+                 (List.map (fun (id, pins) -> Printf.sprintf "%d (%d pins)" id pins) pinned))));
       Ints.iter (fun _ frame -> write_back t frame) t.frames;
       Ints.reset t.frames;
       t.head <- None;

@@ -6,7 +6,7 @@
    detection runs at edge-insertion time, so the offending acquisition
    is reported before it blocks.  Everything below [lock] is guarded by
    it; backtrace symbolization happens only on the (rare) violation
-   path, mirroring the pin sanitizer's lazy design. *)
+   path. *)
 
 type key = { cls : string; inst : int }
 
@@ -99,6 +99,14 @@ let violation_message ~(holding : hold) ~(acquiring : key) ~trace ~path =
   List.iter (fun e -> Buffer.add_string b (render_edge e)) path;
   Buffer.contents b
 
+(* A second acquisition of a lock the domain already holds: no latch or
+   mutex here is reentrant, so it would block on itself. *)
+let reentry_message ~(holding : hold) ~trace =
+  Printf.sprintf
+    "lock order violation: acquiring %s while already holding it (not reentrant)\n\
+     held, acquired at:\n%s  acquired again at:\n%s"
+    (key_label holding.h_key) (bt holding.h_trace) (bt trace)
+
 let before_acquire ~cls ~inst =
   let k = { cls; inst } in
   let d = domain_id () in
@@ -107,7 +115,11 @@ let before_acquire ~cls ~inst =
       let hs = held_of d in
       List.iter
         (fun h ->
-          if not (key_equal h.h_key k) && not (edge_exists h.h_key k) then begin
+          if key_equal h.h_key k then begin
+            Metrics.incr m_violations;
+            raise (Lock_order_violation (reentry_message ~holding:h ~trace))
+          end;
+          if not (edge_exists h.h_key k) then begin
             (match find_path k h.h_key with
              | Some path ->
                Metrics.incr m_violations;
@@ -141,26 +153,6 @@ let after_release ~cls ~inst =
 let held_by_self () =
   let d = domain_id () in
   Mutex.protect lock (fun () -> List.map (fun h -> h.h_key) (held_of d))
-
-let assert_none_held ~where =
-  let d = domain_id () in
-  let leaked = Mutex.protect lock (fun () -> held_of d) in
-  if leaked <> [] then begin
-    Metrics.incr m_violations;
-    let traces =
-      String.concat ""
-        (List.map
-           (fun h ->
-             Printf.sprintf "\n%s acquired at:\n%s" (key_label h.h_key)
-               (bt h.h_trace))
-           leaked)
-    in
-    raise
-      (Lock_order_violation
-         (Printf.sprintf "%s: latch-order stack not empty: [%s]%s" where
-            (String.concat ", " (List.map (fun h -> key_label h.h_key) leaked))
-            traces))
-  end
 
 let edges_recorded () =
   Mutex.protect lock (fun () ->

@@ -20,10 +20,12 @@
     Shared (reader) acquisitions are tracked like exclusive ones on
     purpose: the frame latches are writer-preferred, so even a
     shared/shared cycle deadlocks once a writer queues on each side.
+    For the same reason, and because no tracked lock is reentrant, a
+    domain acquiring a key it already holds — a page nested in itself —
+    is a violation too: it self-deadlocks.
 
-    Like the pin sanitizer, backtraces are kept raw and symbolized only
-    when a violation is reported, so sanitized full suites run at near
-    zero extra cost.  The checker is driven by sanitizing pools
+    Backtraces are kept raw and symbolized only when a violation is
+    reported, so sanitized full suites run at near zero extra cost.  The checker is driven by sanitizing pools
     ({!Buffer_pool.create} [~sanitize:true] or [XQDB_PIN_SANITIZE=1]);
     it has no enable flag of its own — instrumented call sites decide.
 
@@ -34,15 +36,16 @@ type key = { cls : string; inst : int }
 
 exception Lock_order_violation of string
 (** A latch acquisition that would close a cycle in the order graph, or
-    a latch-order stack leaked past a quiescent point.  The message
-    carries the symbolized acquisition backtraces of both the new
-    dependency and the recorded reverse path. *)
+    re-acquire a key the domain already holds.  The message carries the
+    symbolized acquisition backtraces of both the new dependency and
+    the recorded reverse path (of both acquisitions, for a re-entry). *)
 
 val before_acquire : cls:string -> inst:int -> unit
 (** Record the calling domain's intent to acquire [(cls, inst)].  Checks
     every currently-held lock for a reverse path in the order graph and
     raises {!Lock_order_violation} if one exists — before the caller
-    blocks, so the deadlock is reported instead of entered.  Otherwise
+    blocks, so the deadlock is reported instead of entered; raises it
+    too if the domain already holds [(cls, inst)].  Otherwise
     records the new edges and pushes the lock onto the domain's held
     stack.  Call immediately {e before} the real acquisition. *)
 
@@ -52,10 +55,6 @@ val after_release : cls:string -> inst:int -> unit
 
 val held_by_self : unit -> key list
 (** The calling domain's held stack, most recent first. *)
-
-val assert_none_held : where:string -> unit
-(** Quiescent-point check: raises {!Lock_order_violation} (and counts
-    it) if the calling domain still holds tracked locks. *)
 
 val edges_recorded : unit -> int
 (** Distinct dependencies currently in the order graph. *)

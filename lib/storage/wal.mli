@@ -113,7 +113,7 @@ val crash_discard : t -> unit
 
 val unsafe_no_sync : t -> bool -> unit
 (** Test seam: while set, {!sync} does nothing, so the WAL-before-data
-    invariant can be made to fail and the pin sanitizer's check
+    invariant can be made to fail and the pool sanitizer's check
     exercised. *)
 
 val close : t -> unit

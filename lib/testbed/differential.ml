@@ -124,8 +124,8 @@ let clean_trial ~index engine oracle =
         record (Printf.sprintf "%s crashed: %s" label (Printexc.to_string exn))
     end
   in
-  (* Engines are derived only while no failure is on record: a crashed
-     run may have leaked pins, and [with_config] asserts quiescence. *)
+  (* Engines are derived only while no failure is on record: after a
+     crash the run stops at its first failure. *)
   let with_config config k = if !failure = None then k (Engine.with_config config engine) in
   List.iter
     (fun config ->

@@ -230,9 +230,9 @@ let run_sessions n f =
   else Array.map Domain.join (Array.init n (fun k -> Domain.spawn (fun () -> f k)))
 
 (* The shared pool must be quiescent once every session has joined: zero
-   pins from anyone, every frame latch idle.  Checked unconditionally —
-   under the sanitizer a violation inside a run would already have
-   raised, but this also covers non-sanitizing runs. *)
+   pins from anyone, every frame latch idle.  The pool's bracket releases
+   both on every exit path, so this checks that no session is still
+   inside one; it holds in plain and sanitizing runs alike. *)
 let assert_quiescent ~after pool =
   (match Storage.Buffer_pool.pinned_pages pool with
    | [] -> ()

@@ -169,24 +169,11 @@ let children_ins t parent_in =
   let cursor = Btree.scan_prefix t.parent_idx ~prefix:(Xasr.parent_prefix parent_in) in
   fun () -> Option.map (fun (k, _) -> Xasr.in_of_parent_key k) (cursor ())
 
-let label_ins t ntype value =
-  let cursor = Btree.scan_prefix t.label_idx ~prefix:(Xasr.label_prefix ntype value) in
-  fun () -> Option.map (fun (k, _) -> Xasr.in_of_label_key k) (cursor ())
-
 let label_ins_pages t ntype value =
   let cursor =
     Btree.scan_prefix_pages t.label_idx ~prefix:(Xasr.label_prefix ntype value)
   in
   fun () -> Option.map (Array.map (fun (k, _) -> Xasr.in_of_label_key k)) (cursor ())
-
-let label_ins_all_of_type t ntype =
-  let prefix =
-    let buf = Buffer.create 8 in
-    Codec.key_int buf (Xasr.node_type_code ntype);
-    Buffer.to_bytes buf
-  in
-  let cursor = Btree.scan_prefix t.label_idx ~prefix in
-  fun () -> Option.map (fun (k, _) -> Xasr.in_of_label_key k) (cursor ())
 
 let struct_tuple label key data =
   let nin = Xasr.in_of_struct_key key in

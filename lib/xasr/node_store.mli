@@ -78,17 +78,9 @@ val children_ins : t -> int -> unit -> int option
 (** [in]s of the children of the node with the given [in], via the
     parent index, in document order. *)
 
-val label_ins : t -> Xasr.node_type -> string -> unit -> int option
-(** [in]s of all nodes with the given type and value, via the label
-    index, in document order. *)
-
 val label_ins_pages : t -> Xasr.node_type -> string -> unit -> int array option
-(** Page-at-a-time variant of {!label_ins}. *)
-
-val label_ins_all_of_type : t -> Xasr.node_type -> unit -> int option
-(** [in]s of all nodes of a type regardless of value (e.g. all text
-    nodes), via the label index; {e index order} (value-major), not
-    document order. *)
+(** [in]s of all nodes with the given type and value, via the label
+    index, in document order: each pull returns one leaf's worth. *)
 
 val struct_stream : t -> string -> unit -> Xasr.tuple option
 (** Full element tuples with the given label, streamed from the

@@ -537,7 +537,6 @@ let expect_disk_error_pins_clean ~what ~pool ~ctx build =
   match Op.drain (build ()) with
   | _ -> Alcotest.fail (what ^ ": injected hard fault should surface as Disk_error")
   | exception S.Disk.Disk_error _ ->
-    S.Buffer_pool.assert_unpinned ~where:what pool;
     Alcotest.(check (list (pair int int))) (what ^ ": no pinned frames") []
       (S.Buffer_pool.pinned_pages pool);
     ignore ctx
@@ -551,8 +550,7 @@ let test_label_scan_fault_pins () =
   S.Fault_disk.detach injector;
   (* Every frame is evictable again: the same scan now runs to completion. *)
   let op = Op.label_scan ctx "R" ~ntype:Xasr.Element ~value:"name" ~preds:[] in
-  Alcotest.(check bool) "recovered scan produces rows" true (ins_of op <> []);
-  Op.close ctx op
+  Alcotest.(check bool) "recovered scan produces rows" true (ins_of op <> [])
 
 let test_inl_join_fault_pins () =
   let disk, pool, ctx = make_sanitized_store () in
@@ -570,8 +568,8 @@ let test_inl_join_fault_pins () =
   S.Fault_disk.detach injector;
   let op = build () in
   Alcotest.(check bool) "recovered join produces rows" true (Op.count op > 0);
-  Op.close ctx op;
-  S.Buffer_pool.assert_unpinned ~where:"inl_join after recovery" pool
+  Alcotest.(check (list (pair int int))) "inl_join after recovery: no pinned frames" []
+    (S.Buffer_pool.pinned_pages pool)
 
 (* Pin safety of the structural family: a hard fault mid-stream unwinds
    without leaving pinned frames, same contract as label_scan/inl_join. *)
@@ -589,8 +587,8 @@ let test_struct_ops_fault_pins () =
   S.Fault_disk.detach injector;
   let op = Op.struct_scan ctx "R" ~label:"name" ~preds:[] in
   Alcotest.(check (list int)) "recovered struct scan produces rows" [4; 8] (ins_of op);
-  Op.close ctx op;
-  S.Buffer_pool.assert_unpinned ~where:"struct ops after recovery" pool
+  Alcotest.(check (list (pair int int))) "struct ops after recovery: no pinned frames" []
+    (S.Buffer_pool.pinned_pages pool)
 
 (* --- budget propagation -------------------------------------------------------- *)
 
@@ -707,7 +705,8 @@ let test_budget_partial_batches () =
    | _ -> Alcotest.fail "expected exhaustion inside the first batch"
    | exception S.Budget.Exhausted _ -> ());
   Alcotest.(check int) "stopped at the crossing read" 3 (S.Budget.page_ios budget);
-  S.Buffer_pool.assert_unpinned ~where:"censored batch" pool;
+  Alcotest.(check (list (pair int int))) "censored batch: no pinned frames" []
+    (S.Buffer_pool.pinned_pages pool);
   (* The censored operator still reports a consistent partial profile. *)
   let p = Op.profile op in
   Alcotest.(check int) "partial profile has no delivered batch" 0 p.Op.batches;

@@ -676,7 +676,8 @@ let test_budget () =
    | () -> Alcotest.fail "budget should be exhausted"
    | exception S.Budget.Exhausted _ -> ());
   Alcotest.(check int) "stopped at the crossing read" 6 (S.Budget.page_ios budget);
-  S.Buffer_pool.assert_unpinned ~where:"censored access" pool;
+  Alcotest.(check (list (pair int int))) "censored access: no pins" []
+    (S.Buffer_pool.pinned_pages pool);
   (* [check] polls only the deadline and the time cap. *)
   S.Budget.check budget;
   (* Outside [run] nothing is enforced, and I/O is not charged. *)
@@ -695,7 +696,8 @@ let test_budget () =
    | () -> Alcotest.fail "zero budget should be exhausted"
    | exception S.Budget.Exhausted _ -> ());
   Alcotest.(check int) "read plus write-back" 2 (S.Budget.page_ios zero);
-  S.Buffer_pool.assert_unpinned ~where:"censored eviction" one
+  Alcotest.(check (list (pair int int))) "censored eviction: no pins" []
+    (S.Buffer_pool.pinned_pages one)
 
 (* Two requests on two domains, interleaved deterministically: A holds a
    zero-I/O budget in scope while B does pool I/O under its own.  A
@@ -819,27 +821,34 @@ let test_latch_release_unheld () =
   | () -> Alcotest.fail "releasing a free latch should raise"
   | exception S.Latch.Latch_error _ -> ()
 
-(* Nested [use] of the same page by one domain must ride on the hold it
-   already has (the latch is not reentrant), and an upgrade — mutating
-   nested inside a shared read — must raise instead of deadlocking. *)
-let test_latch_nested_same_page () =
-  let _, pool = fresh_pool () in
+(* The frame latch is not reentrant, so a page accessed again inside
+   its own callback would block on itself.  Under the sanitizer lockdep
+   reports the nesting, in a read and in a write, before the inner
+   access blocks; unwinding leaves no pin and no latch behind. *)
+let test_latch_nested_same_page_raises () =
+  S.Lock_order.reset ();
+  let disk = S.Disk.in_memory ~page_size:128 () in
+  let pool = S.Buffer_pool.create ~capacity:4 ~sanitize:true disk in
   let p = S.Buffer_pool.alloc_page pool in
-  S.Buffer_pool.with_page_mut pool p (fun outer ->
-      Bytes.set outer 0 'a';
-      S.Buffer_pool.with_page pool p (fun inner ->
-          Alcotest.(check char) "read nested in write" 'a' (Bytes.get inner 0)));
-  S.Buffer_pool.with_page pool p (fun _ ->
-      S.Buffer_pool.with_page pool p (fun _ -> ()));
-  (match
-     S.Buffer_pool.with_page pool p (fun _ ->
-         S.Buffer_pool.with_page_mut pool p (fun _ -> ()))
-   with
-  | () -> Alcotest.fail "latch upgrade should raise"
-  | exception S.Latch.Latch_error _ -> ());
-  Alcotest.(check (list (pair int int))) "no latches survive" []
-    (S.Buffer_pool.latched_pages pool);
-  S.Buffer_pool.assert_unpinned ~where:"nested latches" pool
+  List.iter
+    (fun (what, outer) ->
+      (match outer pool p (fun _ -> S.Buffer_pool.with_page pool p ignore) with
+       | () -> Alcotest.failf "with_page nested %s on the same page should raise" what
+       | exception S.Lock_order.Lock_order_violation msg ->
+         let needle = "not reentrant" in
+         let rec found i =
+           i + String.length needle <= String.length msg
+           && (String.sub msg i (String.length needle) = needle || found (i + 1))
+         in
+         Alcotest.(check bool) (what ^ ": names the re-entry") true (found 0));
+      Alcotest.(check (list (pair int int))) (what ^ ": no pins survive") []
+        (S.Buffer_pool.pinned_pages pool);
+      Alcotest.(check (list (pair int int))) (what ^ ": no latches survive") []
+        (S.Buffer_pool.latched_pages pool))
+    [ ("in with_page", S.Buffer_pool.with_page);
+      ("in with_page_mut", S.Buffer_pool.with_page_mut) ];
+  Alcotest.(check bool) "held stacks drained" true (S.Lock_order.held_by_self () = []);
+  S.Lock_order.reset ()
 
 (* K domains hammer the pool concurrently — disjoint mutated pages plus
    one shared read-only page — under the sanitizer.  Every domain's
@@ -941,7 +950,6 @@ let test_lockdep_opposite_order () =
     (S.Buffer_pool.pinned_pages pool);
   Alcotest.(check (list (pair int int))) "no latches survive" []
     (S.Buffer_pool.latched_pages pool);
-  S.Buffer_pool.assert_unpinned ~where:"lockdep opposite order" pool;
   S.Lock_order.reset ()
 
 (* Consistent nesting across domains records edges but never raises:
@@ -1255,17 +1263,6 @@ let sanitize_pool ?(capacity = 4) () =
   let disk = S.Disk.in_memory ~page_size:128 () in
   (disk, S.Buffer_pool.create ~capacity ~sanitize:true disk)
 
-let test_sanitizer_double_unpin () =
-  let _, pool = sanitize_pool () in
-  let p = S.Buffer_pool.alloc_page pool in
-  let pin = S.Buffer_pool.pin pool p in
-  S.Buffer_pool.unpin pool pin;
-  match S.Buffer_pool.unpin pool pin with
-  | () -> Alcotest.fail "double unpin should raise"
-  | exception S.Buffer_pool.Sanitizer_violation msg ->
-    (* The violation names the acquisition site so the leak is debuggable. *)
-    Alcotest.(check bool) "message carries a backtrace" true (String.length msg > 0)
-
 let test_sanitizer_use_after_unpin () =
   let _, pool = sanitize_pool () in
   let p = S.Buffer_pool.alloc_page pool in
@@ -1282,34 +1279,17 @@ let test_sanitizer_use_after_unpin () =
   S.Buffer_pool.with_page pool p (fun b ->
       Alcotest.(check char) "fresh pin sees real data" 'x' (Bytes.get b 0))
 
-let test_sanitizer_leak_detection () =
-  let _, pool = sanitize_pool () in
-  let p = S.Buffer_pool.alloc_page pool in
-  let pin = S.Buffer_pool.pin pool p in
-  Alcotest.(check int) "one live pin" 1 (List.length (S.Buffer_pool.live_pins pool));
-  Alcotest.(check bool) "pinned_pages sees it" true
-    (List.mem_assoc p (S.Buffer_pool.pinned_pages pool));
-  (match S.Buffer_pool.assert_unpinned ~where:"test" pool with
-  | () -> Alcotest.fail "leak should raise Pin_leak"
-  | exception S.Buffer_pool.Pin_leak msg ->
-    Alcotest.(check bool) "names the site" true (String.length msg > 0));
-  S.Buffer_pool.unpin pool pin;
-  S.Buffer_pool.assert_unpinned ~where:"test" pool;
-  Alcotest.(check int) "no live pins after release" 0
-    (List.length (S.Buffer_pool.live_pins pool))
-
-(* Sanitize mode must not change what programs compute: nested pins on
-   the same page share one shadow, writes through one pin are visible to
-   the other, and write-back under an open pin persists the bytes. *)
+(* Sanitize mode must not change what programs compute: a write through
+   one access is visible to the next, and write-back persists it. *)
 let test_sanitizer_transparent () =
   let disk, pool = sanitize_pool () in
   let p = S.Buffer_pool.alloc_page pool in
-  S.Buffer_pool.with_page_mut pool p (fun outer ->
-      Bytes.set outer 0 'a';
-      S.Buffer_pool.with_page_mut pool p (fun inner ->
-          Alcotest.(check char) "nested pin sees outer write" 'a' (Bytes.get inner 0);
-          Bytes.set inner 1 'b');
-      Alcotest.(check char) "outer sees nested write" 'b' (Bytes.get outer 1));
+  S.Buffer_pool.with_page_mut pool p (fun b -> Bytes.set b 0 'a');
+  S.Buffer_pool.with_page_mut pool p (fun b ->
+      Alcotest.(check char) "next access sees the write" 'a' (Bytes.get b 0);
+      Bytes.set b 1 'b');
+  S.Buffer_pool.with_page pool p (fun b ->
+      Alcotest.(check char) "reader sees both writes" 'b' (Bytes.get b 1));
   S.Buffer_pool.flush_all pool;
   let b = S.Disk.read_page disk p in
   Alcotest.(check char) "flushed byte 0" 'a' (Bytes.get b 0);
@@ -1321,7 +1301,8 @@ let test_sanitizer_transparent () =
   S.Btree.check_invariants bt;
   Alcotest.(check (option int)) "lookup" (Some 84)
     (Option.map dec_int (S.Btree.find bt ~key:(enc_int 42)));
-  S.Buffer_pool.assert_unpinned ~where:"btree under sanitizer" pool
+  Alcotest.(check (list (pair int int))) "btree under sanitizer: no pins" []
+    (S.Buffer_pool.pinned_pages pool)
 
 (* Insert-only workloads must keep every page reasonably full: splits
    leave at least the occupancy floor on both sides. *)
@@ -1947,8 +1928,9 @@ let btree_edge_keys_model =
       && List.for_all range_agrees ranges)
 
 (* The pin bracket releases everything on the way out of an exception:
-   one raised by the callback, and a page-I/O cap tripping inside the
-   frame insert of a miss.  Run on a plain and a sanitizing pool. *)
+   one raised by the callback, one raised three accesses deep inside
+   nested brackets on distinct pages, and a page-I/O cap tripping inside
+   the frame insert of a miss.  Run on a plain and a sanitizing pool. *)
 exception Callback_failed of int
 
 let test_bracket_exception_safety () =
@@ -1963,7 +1945,8 @@ let test_bracket_exception_safety () =
           (S.Buffer_pool.pinned_pages pool);
         Alcotest.(check (list (pair int int))) (what ^ ": no latches") []
           (S.Buffer_pool.latched_pages pool);
-        S.Buffer_pool.assert_unpinned ~where:what pool;
+        Alcotest.(check bool) (what ^ ": lockdep stack empty") true
+          (S.Lock_order.held_by_self () = []);
         (* Another domain takes the table mutex and the page's latch. *)
         let other =
           Domain.spawn (fun () -> S.Buffer_pool.with_page_mut pool page S.Page.flags)
@@ -1974,7 +1957,28 @@ let test_bracket_exception_safety () =
        | _ -> Alcotest.fail "callback exception swallowed"
        | exception Callback_failed 7 -> ());
       quiescent "callback raised";
+      (* The outer brackets' writes completed before the innermost
+         callback raised; they stay, and reach the disk. *)
+      let a = S.Buffer_pool.alloc_page pool in
+      let b = S.Buffer_pool.alloc_page pool in
+      (match
+         S.Buffer_pool.with_page_mut pool a (fun buf_a ->
+             Bytes.set buf_a 0 'a';
+             S.Buffer_pool.with_page_mut pool b (fun buf_b ->
+                 Bytes.set buf_b 0 'b';
+                 S.Buffer_pool.with_page pool page (fun _ -> raise (Callback_failed 9))))
+       with
+       | _ -> Alcotest.fail "nested callback exception swallowed"
+       | exception Callback_failed 9 -> ());
+      quiescent "nested callback raised";
       S.Buffer_pool.drop_all pool;
+      List.iter
+        (fun (p, c) ->
+          S.Buffer_pool.with_page pool p (fun buf ->
+              Alcotest.(check char)
+                (Printf.sprintf "write to page %d before the raise (sanitize %b)" p sanitize)
+                c (Bytes.get buf 0)))
+        [(a, 'a'); (b, 'b')];
       let budget = S.Budget.create ~max_page_ios:0 () in
       (match S.Budget.run budget (fun () -> S.Buffer_pool.with_page pool page S.Page.flags) with
        | _ -> Alcotest.fail "page-I/O cap not enforced on a miss"
@@ -2073,11 +2077,8 @@ let () =
         [ Alcotest.test_case "persistence" `Quick test_catalog;
           Alcotest.test_case "page-chain overflow" `Quick test_catalog_overflow ] );
       ( "pin sanitizer",
-        [ Alcotest.test_case "double unpin" `Quick test_sanitizer_double_unpin;
-          Alcotest.test_case "use after unpin reads poison" `Quick
+        [ Alcotest.test_case "use after unpin reads poison" `Quick
             test_sanitizer_use_after_unpin;
-          Alcotest.test_case "leak detection with backtraces" `Quick
-            test_sanitizer_leak_detection;
           Alcotest.test_case "semantics-transparent" `Quick test_sanitizer_transparent ] );
       ( "budget",
         [ Alcotest.test_case "exhaustion" `Quick test_budget;
@@ -2089,7 +2090,8 @@ let () =
           Alcotest.test_case "exclusive excludes" `Quick test_latch_exclusive_excludes;
           Alcotest.test_case "writer preference" `Quick test_latch_writer_preference;
           Alcotest.test_case "release unheld raises" `Quick test_latch_release_unheld;
-          Alcotest.test_case "nested same-page use" `Quick test_latch_nested_same_page;
+          Alcotest.test_case "nested same-page use raises" `Quick
+            test_latch_nested_same_page_raises;
           Alcotest.test_case "concurrent domains" `Quick test_pool_concurrent_domains ] );
       ( "lockdep",
         [ Alcotest.test_case "opposite-order nesting raises" `Quick
